@@ -19,10 +19,9 @@ JSON object and the exit code is nonzero.
 Config file
 -----------
 ``--config FILE`` preloads simulate/sweep parameters from a key=value
-file (``#`` starts a comment).  Recognized keys match the long flag
-names with underscores: key, n, sigma, weight, baseline, samples, poi,
-seed, augment_byte, augment_bit, offset, n_ro, alpha, pulse, trigger.
-Explicit flags override file values.
+file (``#`` starts a comment).  The recognized keys are the names in
+``_SIM_PARAMS``; each also has a long flag, with ``-`` for ``_``.  Both
+are parsed by the same type, and explicit flags override file values.
 
 JSON attack report (schema_version 1)
 -------------------------------------
@@ -39,6 +38,7 @@ in wire order and the cipher key obtained by inverting the key schedule
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -46,33 +46,30 @@ import sys
 import numpy as np
 
 from . import aes
-from .cpa import cpa_attack, rank_of_guess
+from .cpa import cpa_attack
 from .hd import fit_hd_line, group_by_hd, wrong_horse_scan
 from .leakage import Augmentation, LeakageConfig, Trigger, ro_offset_model, simulate_campaign
 from .traceio import import_raw, read_sctr, write_sctr
 
-_SIM_DEFAULTS = {
-    "key": "000102030405060708090a0b0c0d0e0f",
-    "n": 1000,
-    "sigma": 0.0,
-    "weight": 1.0,
-    "baseline": 0.0,
-    "samples": 1,
-    "poi": 0,
-    "seed": 1,
-    "augment_byte": 0,
-    "augment_bit": 2,
-    "offset": None,
-    "n_ro": None,
-    "alpha": None,
-    "pulse": 1.0,
-    "trigger": "static",
-}
-
-_CONFIG_PARSERS = {
-    "key": str, "n": int, "sigma": float, "weight": float, "baseline": float,
-    "samples": int, "poi": int, "seed": int, "augment_byte": int, "augment_bit": int,
-    "offset": float, "n_ro": int, "alpha": float, "pulse": float, "trigger": str,
+# The campaign parameters: name -> (type, default, help).  The name is
+# the config-file key and, with "-" for "_", the long flag; the type
+# parses both.
+_SIM_PARAMS = {
+    "key": (str, "000102030405060708090a0b0c0d0e0f", "cipher key, 32 hex chars"),
+    "n": (int, 1000, "number of traces"),
+    "sigma": (float, 0.0, "gaussian noise level"),
+    "weight": (float, 1.0, "per-bit leakage weight"),
+    "baseline": (float, 0.0, "trace baseline level"),
+    "samples": (int, 1, "samples per trace"),
+    "poi": (int, 0, "sample index carrying the leakage"),
+    "seed": (int, 1, "campaign seed"),
+    "augment_byte": (int, 0, "state byte holding the augmented bit"),
+    "augment_bit": (int, 2, "augmented bit within that byte"),
+    "offset": (float, None, "augmentation offset (volt-equivalent)"),
+    "n_ro": (int, None, "derive the offset from a ring-oscillator count"),
+    "alpha": (float, None, "per-oscillator offset contribution"),
+    "pulse": (float, 1.0, "fraction of the window the bank is active"),
+    "trigger": (Trigger, Trigger.ON_STATIC, "offset fires when the bit is static or toggles"),
 }
 
 
@@ -87,41 +84,24 @@ def _load_config_file(path):
                 raise ValueError(f"{path}:{line_no}: expected 'key = value', got {raw.strip()!r}")
             name, _, value = line.partition("=")
             name = name.strip()
-            if name not in _CONFIG_PARSERS:
+            if name not in _SIM_PARAMS:
                 raise ValueError(f"{path}:{line_no}: unknown config key {name!r}")
-            values[name] = _CONFIG_PARSERS[name](value.strip())
+            values[name] = _SIM_PARAMS[name][0](value.strip())
     return values
 
 
 def _add_sim_arguments(parser):
     parser.add_argument("--config", help="key=value file with campaign parameters")
-    parser.add_argument("--key", help="cipher key, 32 hex chars")
-    parser.add_argument("--n", type=int, help="number of traces")
-    parser.add_argument("--sigma", type=float, help="gaussian noise level")
-    parser.add_argument("--weight", type=float, help="per-bit leakage weight")
-    parser.add_argument("--baseline", type=float, help="trace baseline level")
-    parser.add_argument("--samples", type=int, help="samples per trace")
-    parser.add_argument("--poi", type=int, help="sample index carrying the leakage")
-    parser.add_argument("--seed", type=int, help="campaign seed")
-    parser.add_argument("--augment-byte", type=int, dest="augment_byte")
-    parser.add_argument("--augment-bit", type=int, dest="augment_bit")
-    parser.add_argument("--offset", type=float, help="augmentation offset (volt-equivalent)")
-    parser.add_argument("--n-ro", type=int, dest="n_ro",
-                        help="derive the offset from a ring-oscillator count")
-    parser.add_argument("--alpha", type=float, help="per-oscillator offset contribution")
-    parser.add_argument("--pulse", type=float, help="fraction of the window the bank is active")
-    parser.add_argument("--trigger", choices=["static", "toggle"],
-                        help="apply the offset when the bit is static or when it toggles")
+    for name, (parse, _, help_text) in _SIM_PARAMS.items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=parse, help=help_text)
 
 
 def _resolve_sim_params(args):
-    params = dict(_SIM_DEFAULTS)
+    params = {name: default for name, (_, default, _) in _SIM_PARAMS.items()}
     if args.config:
         params.update(_load_config_file(args.config))
-    for name in _SIM_DEFAULTS:
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
+    params.update({name: getattr(args, name) for name in _SIM_PARAMS
+                   if getattr(args, name) is not None})
     if params["offset"] is None and params["n_ro"] is not None:
         if params["alpha"] is None:
             raise ValueError("--n-ro needs --alpha to convert an oscillator count to an offset")
@@ -129,21 +109,27 @@ def _resolve_sim_params(args):
     return params
 
 
-def _build_leakage_config(params, offset_override=None, bit_override=None):
-    offset = params["offset"] if offset_override is None else offset_override
-    bit = params["augment_bit"] if bit_override is None else bit_override
+def _build_leakage_config(params):
     augmentation = None
-    if offset is not None:
-        augmentation = Augmentation(params["augment_byte"], bit, offset,
-                                    Trigger(params["trigger"]))
-    return LeakageConfig(
-        bit_weights=np.full(128, params["weight"]),
+    if params["offset"] is not None:
+        augmentation = Augmentation(params["augment_byte"], params["augment_bit"],
+                                    params["offset"], params["trigger"])
+    return LeakageConfig.equal_weights(
+        params["weight"],
         baseline=params["baseline"],
         noise_sigma=params["sigma"],
         augmentation=augmentation,
         samples_per_trace=params["samples"],
         poi_index=params["poi"],
     )
+
+
+def _write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` as CSV to ``path``, or to stdout without one."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _fmt(value):
@@ -156,6 +142,7 @@ def cmd_simulate(args) -> int:
     trace_set = simulate_campaign(params["key"], params["n"], config, params["seed"])
     write_sctr(trace_set, args.output)
     effective = {k: params[k] for k in sorted(params)}
+    effective["trigger"] = params["trigger"].value
     effective["command"] = "simulate"
     effective["output"] = args.output
     print(json.dumps(effective))
@@ -169,18 +156,16 @@ def _attack_one(traces, byte_index, stride):
         "target_key_position": int(aes.SR_FORWARD[byte_index]),
         "best_guess": result.best_guess,
         "best_score": float(result.scores[result.best_guess]),
-        "correct_guess": None,
-        "correct_rank": None,
+        "correct_guess": result.correct_guess,
+        "correct_rank": result.correct_rank,
         "disclosure": result.disclosure,
     }
-    if traces.true_key is not None:
-        correct = aes.correct_last_round_guess(traces.true_key, byte_index)
-        entry["correct_guess"] = correct
-        entry["correct_rank"] = rank_of_guess(result, correct)
     return result, evolution, entry
 
 
 def cmd_attack(args) -> int:
+    if args.all_bytes and args.evolution_csv:
+        raise ValueError("--evolution-csv needs single-byte mode; drop --all-bytes")
     traces = read_sctr(args.sctr)
     report = {
         "schema_version": 1,
@@ -216,12 +201,10 @@ def cmd_attack(args) -> int:
             "curves": evolution.values.tolist(),
         }
         if args.evolution_csv:
-            with open(args.evolution_csv, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["checkpoint", "guess", "r"])
-                for i, count in enumerate(evolution.checkpoints):
-                    for guess in range(256):
-                        writer.writerow([int(count), guess, _fmt(evolution.values[guess, i])])
+            _write_csv(args.evolution_csv, ["checkpoint", "guess", "r"],
+                       ([int(count), guess, _fmt(evolution.values[guess, i])]
+                        for i, count in enumerate(evolution.checkpoints)
+                        for guess in range(256)))
 
     text = json.dumps(report, indent=2)
     if args.report:
@@ -246,19 +229,13 @@ def cmd_fit_hd(args) -> int:
     fits = [fit_hd_line(s) for s in summaries]
 
     if args.points:
-        with open(args.points, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["guess", "hd", "mean", "count"])
-            for summary in summaries:
-                for hd in np.nonzero(summary.present)[0]:
-                    writer.writerow([summary.key_guess, int(hd),
-                                     _fmt(summary.means[hd]), int(summary.counts[hd])])
+        _write_csv(args.points, ["guess", "hd", "mean", "count"],
+                   ([s.key_guess, int(hd), _fmt(s.means[hd]), int(s.counts[hd])]
+                    for s in summaries for hd in np.nonzero(s.present)[0]))
     if args.fits:
-        with open(args.fits, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["guess", "slope", "intercept", "r"])
-            for guess, fit in zip(guesses, fits):
-                writer.writerow([guess, _fmt(fit.slope), _fmt(fit.intercept), _fmt(fit.r)])
+        _write_csv(args.fits, ["guess", "slope", "intercept", "r"],
+                   ([guess, _fmt(fit.slope), _fmt(fit.intercept), _fmt(fit.r)]
+                    for guess, fit in zip(guesses, fits)))
     for guess, fit in zip(guesses, fits):
         print(f"guess {guess:3d}: slope {fit.slope:+.6g} intercept {fit.intercept:+.6g} "
               f"r {fit.r:+.6f} classes {fit.n_classes_used}")
@@ -272,25 +249,14 @@ def cmd_sweep(args) -> int:
     rows = []
     for bit in bits:
         for offset in offsets:
-            config = _build_leakage_config(params, offset_override=offset, bit_override=bit)
+            config = _build_leakage_config({**params, "offset": offset, "augment_bit": bit})
             traces = simulate_campaign(params["key"], params["n"], config, params["seed"])
             result, _ = cpa_attack(traces, args.byte, args.stride)
-            correct = aes.correct_last_round_guess(traces.true_key, args.byte)
-            horses = wrong_horse_scan(traces, args.byte, correct)
+            horses = wrong_horse_scan(traces, args.byte, result.correct_guess)
             rows.append([bit, _fmt(offset),
                          "" if result.disclosure is None else result.disclosure,
                          len(horses)])
-
-    def _emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["bit", "offset", "disclosure", "wrong_horse_count"])
-        writer.writerows(rows)
-
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            _emit(fh)
-    else:
-        _emit(sys.stdout)
+    _write_csv(args.output, ["bit", "offset", "disclosure", "wrong_horse_count"], rows)
     return 0
 
 

@@ -9,7 +9,7 @@ therefore has no effect on attack outcomes.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,11 +119,15 @@ class AttackResult:
     ranking: np.ndarray   # all 256 guesses, best first
     scores: np.ndarray    # (256,) max-over-samples |r|, indexed by guess
     disclosure: int | None = None
+    correct_guess: int | None = None   # known when the traces carry their true key
+    correct_rank: int | None = field(default=None, init=False)   # 1-based, of correct_guess
 
     def __post_init__(self):
         self.ranking = np.asarray(self.ranking, dtype=np.int64)
         if sorted(self.ranking.tolist()) != list(range(256)):
             raise ValueError("ranking must be a permutation of 0..255")
+        if self.correct_guess is not None:
+            self.correct_rank = rank_of_guess(self, self.correct_guess)
 
 
 def checkpoint_schedule(n_traces, stride):
@@ -144,7 +148,8 @@ def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=100):
     Returns ``(AttackResult, CorrelationEvolution)``.  The ranking orders
     guesses by descending max-over-samples |r| at the full trace count,
     ties broken by ascending guess value.  When the trace set carries its
-    true key, the result also reports the traces-to-disclosure count.
+    true key, the result also reports the correct guess, its rank and
+    the traces-to-disclosure count.
     """
     if len(traces) == 0:
         raise ValueError("cannot attack an empty trace set")
@@ -164,12 +169,13 @@ def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=100):
 
     scores = np.abs(values[:, -1])
     ranking = np.lexsort((np.arange(256), -scores))
-    disclosure = None
+    correct = disclosure = None
     if traces.true_key is not None:
         correct = aes.correct_last_round_guess(traces.true_key, byte_index)
         disclosure = traces_to_disclosure(evolution, correct)
     result = AttackResult(byte_index=byte_index, best_guess=int(ranking[0]),
-                          ranking=ranking, scores=scores, disclosure=disclosure)
+                          ranking=ranking, scores=scores, disclosure=disclosure,
+                          correct_guess=correct)
     return result, evolution
 
 

@@ -22,7 +22,6 @@ class HdClassSummary:
     """Per-HD-class statistics of one sample under one key guess."""
     counts: np.ndarray   # (9,) traces per class
     means: np.ndarray    # (9,) mean leakage, NaN where the class is empty
-    stds: np.ndarray     # (9,) population std, NaN where the class is empty
     key_guess: int
     byte_index: int
 
@@ -47,23 +46,29 @@ class SignFlipReport:
     slope_change: float
 
 
+def _hypotheses_and_sample(traces: TraceSet, byte_index, sample_index):
+    """The (n, 256) HD hypotheses and the chosen sample column as float64."""
+    if not 0 <= sample_index < traces.samples_per_trace:
+        raise ValueError(f"sample_index {sample_index} outside 0..{traces.samples_per_trace - 1}")
+    return (aes.hypothesis_matrix(traces.ciphertexts, byte_index),
+            traces.samples[:, sample_index].astype(np.float64))
+
+
+def _class_summary(classes, y, key_guess, byte_index) -> HdClassSummary:
+    """Count and mean of ``y`` per HD class, ``classes`` holding each trace's class."""
+    counts = np.bincount(classes, minlength=9)
+    with np.errstate(invalid="ignore"):
+        means = np.bincount(classes, weights=y, minlength=9) / counts   # 0/0 -> NaN
+    return HdClassSummary(counts=counts, means=means,
+                          key_guess=int(key_guess), byte_index=int(byte_index))
+
+
 def group_by_hd(traces: TraceSet, key_guess, byte_index, sample_index=0) -> HdClassSummary:
     """Assign every trace to the HD class its model value predicts and
     summarize the chosen sample per class."""
     aes._check_guess(key_guess)
-    if not 0 <= sample_index < traces.samples_per_trace:
-        raise ValueError(f"sample_index {sample_index} outside 0..{traces.samples_per_trace - 1}")
-    hyp = aes.hypothesis_matrix(traces.ciphertexts, byte_index)[:, key_guess]
-    y = traces.samples[:, sample_index].astype(np.float64)
-    counts = np.bincount(hyp, minlength=9).astype(np.int64)
-    sums = np.bincount(hyp, weights=y, minlength=9)
-    sq_sums = np.bincount(hyp, weights=y * y, minlength=9)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = np.where(counts > 0, sums / counts, np.nan)
-        variances = np.maximum(sq_sums / counts - means ** 2, 0.0)
-        stds = np.where(counts > 0, np.sqrt(variances), np.nan)
-    return HdClassSummary(counts=counts, means=means, stds=stds,
-                          key_guess=int(key_guess), byte_index=int(byte_index))
+    hyp, y = _hypotheses_and_sample(traces, byte_index, sample_index)
+    return _class_summary(hyp[:, key_guess], y, key_guess, byte_index)
 
 
 def fit_hd_line(summary: HdClassSummary) -> HdFit:
@@ -106,17 +111,10 @@ def wrong_horse_scan(traces: TraceSet, byte_index, correct_guess, sample_index=0
     HD classes cannot be fitted and never qualify.
     """
     aes._check_guess(correct_guess)
-    if not 0 <= sample_index < traces.samples_per_trace:
-        raise ValueError(f"sample_index {sample_index} outside 0..{traces.samples_per_trace - 1}")
-    hyp = aes.hypothesis_matrix(traces.ciphertexts, byte_index)
-    y = traces.samples[:, sample_index].astype(np.float64)
+    hyp, y = _hypotheses_and_sample(traces, byte_index, sample_index)
     abs_r = np.zeros(256)
     for guess in range(256):
-        classes = hyp[:, guess]
-        counts = np.bincount(classes, minlength=9)
-        mask = counts > 0
-        if int(mask.sum()) < 2:
-            continue
-        means = np.bincount(classes, weights=y, minlength=9)[mask] / counts[mask]
-        abs_r[guess] = abs(pearson(np.nonzero(mask)[0], means))
+        summary = _class_summary(hyp[:, guess], y, guess, byte_index)
+        if np.count_nonzero(summary.present) >= 2:
+            abs_r[guess] = abs(fit_hd_line(summary).r)
     return [g for g in range(256) if g != correct_guess and abs_r[g] > abs_r[correct_guess]]

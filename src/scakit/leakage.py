@@ -49,8 +49,8 @@ class Augmentation:
             raise ValueError(f"byte_index must be in 0..15, got {self.byte_index}")
         if not 0 <= self.bit_index <= 7:
             raise ValueError(f"bit_index must be in 0..7, got {self.bit_index}")
-        if self.offset < 0:
-            raise ValueError(f"offset must be >= 0, got {self.offset}")
+        if not 0 <= self.offset < math.inf:
+            raise ValueError(f"offset must be finite and >= 0, got {self.offset}")
         self.trigger = Trigger(self.trigger)
 
 
@@ -74,10 +74,12 @@ class LeakageConfig:
         self.bit_weights = np.asarray(self.bit_weights, dtype=np.float64)
         if self.bit_weights.shape != (128,):
             raise ValueError(f"bit_weights must have shape (128,), got {self.bit_weights.shape}")
-        if np.any(self.bit_weights < 0):
-            raise ValueError("bit_weights must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not np.all((self.bit_weights >= 0) & (self.bit_weights < np.inf)):
+            raise ValueError("bit_weights must be finite and >= 0")
+        if not math.isfinite(self.baseline):
+            raise ValueError(f"baseline must be finite, got {self.baseline}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.samples_per_trace < 1:
             raise ValueError(f"samples_per_trace must be >= 1, got {self.samples_per_trace}")
         if not 0 <= self.poi_index < self.samples_per_trace:

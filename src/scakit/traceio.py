@@ -58,6 +58,8 @@ def write_sctr(trace_set: TraceSet, destination) -> None:
     """Serialize a trace set to ``destination`` (path or binary file)."""
     flags = _FLAG_TRUE_KEY if trace_set.true_key is not None else 0
     seed = trace_set.seed if trace_set.seed is not None else 0
+    if not 0 <= seed < 2 ** 64:
+        raise SctrFormatError(f"seed {seed} does not fit the header's 64-bit field")
     header = _HEADER.pack(SCTR_MAGIC, SCTR_VERSION, flags,
                           trace_set.n_traces, trace_set.samples_per_trace, seed)
     records = np.empty(trace_set.n_traces, dtype=_record_dtype(trace_set.samples_per_trace))

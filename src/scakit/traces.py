@@ -33,6 +33,10 @@ class TraceSet:
         for name, arr in (("plaintexts", self.plaintexts), ("ciphertexts", self.ciphertexts)):
             if arr.shape != (n, 16):
                 raise ValueError(f"{name} must have shape ({n}, 16), got {arr.shape}")
+        # Row sums flag any NaN or infinity while allocating only O(n).
+        finite = np.isfinite(self.samples.sum(axis=1, dtype=np.float64))
+        if not finite.all():
+            raise ValueError(f"samples must be finite, trace index {int(finite.argmin())} is not")
 
     @property
     def n_traces(self) -> int:

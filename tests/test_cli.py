@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scakit import cli
 from scakit.traceio import export_raw, read_sctr
@@ -75,9 +81,70 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus = 1\n")
-    assert run("simulate", "--config", cfg, "-o", tmp_path / "x.sctr") == 1
-    assert "bogus" in json.loads(capsys.readouterr().err)["error"]
+    for text in ("bogus = 1\n", "trigger = bogus\n"):
+        cfg.write_text(text)
+        assert run("simulate", "--config", cfg, "-o", tmp_path / "x.sctr") == 1
+        assert "bogus" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "x.sctr").exists()
+
+
+@st.composite
+def campaign_params(draw):
+    samples = draw(st.integers(1, 3))
+    params = {
+        "key": draw(st.binary(min_size=16, max_size=16)).hex(),
+        "n": draw(st.integers(1, 40)),
+        "sigma": draw(st.floats(0, 8)),
+        "weight": draw(st.floats(0, 4)),
+        "baseline": draw(st.floats(-100, 100)),
+        "samples": samples,
+        "poi": draw(st.integers(0, samples - 1)),
+        "seed": draw(st.integers(0, 2 ** 64 - 1)),
+        "augment_byte": draw(st.integers(0, 15)),
+        "augment_bit": draw(st.integers(0, 7)),
+        "trigger": draw(st.sampled_from(["static", "toggle"])),
+    }
+    source = draw(st.sampled_from(["none", "offset", "ro-bank"]))
+    if source == "offset":
+        params["offset"] = draw(st.floats(0, 10))
+    elif source == "ro-bank":
+        params.update(n_ro=draw(st.integers(0, 200)), alpha=draw(st.floats(0, 1)),
+                      pulse=draw(st.floats(0, 1)))
+    return params
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=campaign_params())
+def test_config_file_and_flags_agree(params):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "c.cfg", Path(tmp) / "c.sctr"
+        cfg.write_text("".join(f"{name} = {value}\n" for name, value in params.items()))
+        flags = [f"--{name.replace('_', '-')}={value}" for name, value in params.items()]
+        results = []
+        for argv in (["--config", cfg], flags):
+            echo = io.StringIO()
+            with contextlib.redirect_stdout(echo):
+                assert run("simulate", *argv, "-o", out) == 0
+            results.append((echo.getvalue(), out.read_bytes()))
+    assert results[0] == results[1]
+    effective = json.loads(results[0][0])
+    assert {name: effective[name] for name in params} == params
+
+
+def test_simulate_rejects_seed_the_header_cannot_hold(tmp_path, capsys):
+    out = tmp_path / "x.sctr"
+    assert run("simulate", "--n", 4, "--seed", 2 ** 64, "-o", out) == 1
+    assert "seed" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--offset", "--weight", "--sigma", "--baseline"])
+def test_simulate_rejects_non_finite_parameters(tmp_path, capsys, flag):
+    out = tmp_path / "x.sctr"
+    for value in ("nan", "inf", "-inf"):
+        assert run("simulate", "--n", 4, f"{flag}={value}", "-o", out) == 1
+        assert "finite" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
 
 
 def test_attack_report_and_evolution_csv(noisy_sctr, tmp_path, capsys):
@@ -129,6 +196,13 @@ def test_attack_all_bytes_recovers_key(noisy_sctr, tmp_path, capsys):
     assert report["recovered"] is True
     assert report["cipher_key_hex"] == KEY
     assert report["last_round_key_hex"] == report["true_last_round_key_hex"]
+
+
+def test_attack_all_bytes_rejects_evolution_csv(noisy_sctr, tmp_path, capsys):
+    evo = tmp_path / "evo.csv"
+    assert run("attack", noisy_sctr, "--all-bytes", "--evolution-csv", evo) == 1
+    assert "single-byte" in json.loads(capsys.readouterr().err)["error"]
+    assert not evo.exists()
 
 
 def test_attack_missing_file_fails(tmp_path, capsys):

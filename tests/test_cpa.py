@@ -13,6 +13,7 @@ from scakit.cpa import (
     traces_to_disclosure,
 )
 from scakit.leakage import Augmentation, LeakageConfig, simulate_campaign
+from scakit.traceio import export_raw, import_raw
 from scakit.traces import TraceSet
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"  # round-10 key byte 0 is 0x33
@@ -139,12 +140,27 @@ def test_noiseless_equal_weight_attack_recovers_all_bytes():
         assert np.all(np.abs(evolution.values) <= 1.0 + 1e-9)
 
 
-def test_rank_of_guess_is_total():
+def test_rank_of_guess_is_total(tmp_path):
     ts = simulate_campaign(KEY, 256, LeakageConfig.equal_weights(1.0), seed=2)
     result, _ = cpa_attack(ts, 0, checkpoint_stride=256)
     assert rank_of_guess(result, result.best_guess) == 1
     ranks = {rank_of_guess(result, g) for g in range(256)}
     assert ranks == set(range(1, 257))
+    # the result carries the correct guess and its rank when the key is known;
+    # heavy noise keeps some correct ranks below the top
+    noisy = simulate_campaign(KEY, 256, LeakageConfig.equal_weights(1.0, noise_sigma=30.0),
+                              seed=2)
+    correct_ranks = []
+    for j in range(16):
+        result, _ = cpa_attack(noisy, j, checkpoint_stride=256)
+        assert result.correct_guess == aes.correct_last_round_guess(KEY, j)
+        assert result.correct_rank == rank_of_guess(result, result.correct_guess)
+        correct_ranks.append(result.correct_rank)
+    assert max(correct_ranks) > 1
+    # and neither for an imported capture, which records no key
+    export_raw(ts, tmp_path / "c.f32", tmp_path / "c.csv")
+    result, _ = cpa_attack(import_raw(tmp_path / "c.f32", tmp_path / "c.csv"), 0)
+    assert result.correct_guess is None and result.correct_rank is None
 
 
 def test_attack_is_invariant_under_trace_permutation():

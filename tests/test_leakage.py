@@ -189,6 +189,15 @@ def test_config_validation():
         Augmentation(0, 8, 1.0)
     with pytest.raises(ValueError):
         Augmentation(0, 0, -1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Augmentation(0, 0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            LeakageConfig.equal_weights(bad)
+        with pytest.raises(ValueError, match="finite"):
+            LeakageConfig.equal_weights(1.0, baseline=bad)
+        with pytest.raises(ValueError, match="finite"):
+            LeakageConfig.equal_weights(1.0, noise_sigma=bad)
     with pytest.raises(ValueError):
         simulate_campaign(KEY, 0, LeakageConfig.equal_weights(1.0), seed=1)
 

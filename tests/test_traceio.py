@@ -190,3 +190,36 @@ def test_trace_set_validation():
     with pytest.raises(ValueError):
         TraceSet(np.zeros(4, np.float32), np.zeros((4, 16), np.uint8),
                  np.zeros((4, 16), np.uint8))
+    for bad in (np.nan, np.inf, -np.inf):
+        samples = np.zeros((5, 3), np.float32)
+        samples[3, 1] = bad
+        with pytest.raises(ValueError, match="trace index 3 "):
+            TraceSet(samples, np.zeros((5, 16), np.uint8), np.zeros((5, 16), np.uint8))
+
+
+def test_non_finite_samples_are_rejected_on_read_and_import(tmp_path):
+    ts = _campaign(n=10, spt=3)
+    raw, meta = tmp_path / "c.f32", tmp_path / "c.csv"
+    export_raw(ts, raw, meta)
+    samples = np.fromfile(raw, dtype="<f4")
+    samples[3 * 7 + 2] = np.nan
+    samples.tofile(raw)
+    with pytest.raises(ValueError, match="trace index 7 "):
+        import_raw(raw, meta)
+
+    buf = io.BytesIO()
+    write_sctr(ts, buf)
+    data = bytearray(buf.getvalue())
+    record = 32 + 4 * 3
+    at = len(data) - (10 - 7) * record + 32 + 4 * 2   # trace 7, sample 2
+    data[at:at + 4] = np.float32(np.inf).tobytes()
+    with pytest.raises(ValueError, match="trace index 7 "):
+        read_sctr(io.BytesIO(bytes(data)))
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_sctr_rejects_seed_outside_header_field(seed):
+    ts = _campaign(n=4)
+    ts.seed = seed
+    with pytest.raises(SctrFormatError, match="seed"):
+        write_sctr(ts, io.BytesIO())
