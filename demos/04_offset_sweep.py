@@ -1,7 +1,9 @@
 """How large does the offset have to be?
 
 Sweeps the augmentation offset on a fixed-seed campaign and tabulates
-traces-to-disclosure and the wrong-horse count per offset.  Shows the
+traces-to-disclosure and the wrong-horse count per offset.  The grid
+entry point simulates the campaign once and re-derives only the
+augmented sample for each offset.  Shows the
 effectiveness window: too small and the attack still wins, large enough
 and the correct key drops out of contention.  Also maps a ring-
 oscillator bank size to its offset via the linear bank model.
@@ -15,10 +17,11 @@ w = 1.0
 
 print("offset sweep on 10000 traces, sigma = 4x bit weight, bit 2 of byte 0\n")
 print(f"{'offset':>7} {'disclosure':>11} {'correct rank':>13} {'wrong horses':>13}")
-for mult in (0, 1, 2, 3, 4, 4.5, 5, 6, 8):
-    aug = sk.Augmentation(0, 2, offset=mult * w)
-    config = sk.LeakageConfig.equal_weights(w, noise_sigma=4.0, augmentation=aug)
-    traces = sk.simulate_campaign(key, 10_000, config, seed=1)
+mults = (0, 1, 2, 3, 4, 4.5, 5, 6, 8)
+config = sk.LeakageConfig.equal_weights(w, noise_sigma=4.0)
+grid = sk.simulate_offset_grid(key, 10_000, config, 1,
+                               [sk.Augmentation(0, 2, offset=mult * w) for mult in mults])
+for mult, traces in zip(mults, grid):
     result, _ = sk.cpa_attack(traces, 0)
     horses = sk.wrong_horse_scan(traces, 0, correct)
     print(f"{mult:>6}w {str(result.disclosure):>11} "

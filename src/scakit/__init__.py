@@ -50,6 +50,7 @@ from .leakage import (
     ro_offset_model,
     simulate_campaign,
     simulate_campaign_chunk,
+    simulate_offset_grid,
     simulate_trace,
 )
 from .traceio import (

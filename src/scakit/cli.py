@@ -8,8 +8,9 @@ attack     run CPA on an SCTR file, emit a JSON report and optional
 fit-hd     per-HD-class means and line fits for chosen guesses
            (points CSV: guess, hd, mean, count; fits CSV: guess, slope,
            intercept, r)
-sweep      grid of (bit, offset) augmentations; table of bit, offset,
-           disclosure, wrong_horse_count
+sweep      grid of (bit, offset) augmentations of one campaign, simulated
+           once; table of bit, offset, disclosure, wrong_horse_count
+           (HD fits at the POI)
 convert    raw float32 dump + metadata CSV -> SCTR
 
 Every command is deterministic given its arguments; campaign randomness
@@ -46,9 +47,10 @@ import sys
 import numpy as np
 
 from . import aes
-from .cpa import cpa_attack
-from .hd import fit_hd_line, group_by_hd, wrong_horse_scan
-from .leakage import Augmentation, LeakageConfig, Trigger, ro_offset_model, simulate_campaign
+from .cpa import _cpa_attack, checkpoint_schedule, cpa_attack
+from .hd import _hd_classes, _wrong_horses, fit_hd_line, group_by_hd
+from .leakage import (Augmentation, LeakageConfig, Trigger, ro_offset_model, simulate_campaign,
+                      simulate_offset_grid)
 from .traceio import import_raw, read_sctr, write_sctr
 
 # The campaign parameters: name -> (type, default, help).  The name is
@@ -86,7 +88,10 @@ def _load_config_file(path):
             name = name.strip()
             if name not in _SIM_PARAMS:
                 raise ValueError(f"{path}:{line_no}: unknown config key {name!r}")
-            values[name] = _SIM_PARAMS[name][0](value.strip())
+            try:
+                values[name] = _SIM_PARAMS[name][0](value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: bad value for {name!r}: {exc}") from None
     return values
 
 
@@ -246,16 +251,27 @@ def cmd_sweep(args) -> int:
     params = _resolve_sim_params(args)
     offsets = [float(v) for v in args.offsets.split(",")]
     bits = [int(v) for v in args.bits.split(",")]
+    # Validate the whole grid before the first campaign is simulated.
+    points = [(bit, offset) for bit in bits for offset in offsets]
+    augmentations = [Augmentation(params["augment_byte"], bit, offset, params["trigger"])
+                     for bit, offset in points]
+    config = _build_leakage_config({**params, "offset": None})
+    checkpoints = checkpoint_schedule(params["n"], args.stride)
+    correct = aes.correct_last_round_guess(params["key"], args.byte)
+
+    grid = simulate_offset_grid(params["key"], params["n"], config, params["seed"], augmentations)
+    hyp = classes = None
     rows = []
-    for bit in bits:
-        for offset in offsets:
-            config = _build_leakage_config({**params, "offset": offset, "augment_bit": bit})
-            traces = simulate_campaign(params["key"], params["n"], config, params["seed"])
-            result, _ = cpa_attack(traces, args.byte, args.stride)
-            horses = wrong_horse_scan(traces, args.byte, result.correct_guess)
-            rows.append([bit, _fmt(offset),
-                         "" if result.disclosure is None else result.disclosure,
-                         len(horses)])
+    for (bit, offset), traces in zip(points, grid):
+        if hyp is None:   # every grid point shares the ciphertexts, so the hypotheses too
+            hyp = aes.hypothesis_matrix(traces.ciphertexts, args.byte)
+            classes, counts = _hd_classes(hyp)
+        result, _ = _cpa_attack(traces, args.byte, hyp, checkpoints)
+        y = traces.samples[:, config.poi_index].astype(np.float64)
+        horses = _wrong_horses(classes, counts, y, args.byte, correct)
+        rows.append([bit, _fmt(offset),
+                     "" if result.disclosure is None else result.disclosure,
+                     len(horses)])
     _write_csv(args.output, ["bit", "offset", "disclosure", "wrong_horse_count"], rows)
     return 0
 
@@ -268,9 +284,16 @@ def cmd_convert(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors, so that ``main`` reports them as JSON like any other."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="scakit",
-                                     description="last-round AES power-analysis toolkit")
+    parser = _ArgumentParser(prog="scakit",
+                             description="last-round AES power-analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="simulate a campaign into an SCTR file")
@@ -319,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

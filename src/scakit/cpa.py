@@ -153,9 +153,14 @@ def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=100):
     """
     if len(traces) == 0:
         raise ValueError("cannot attack an empty trace set")
-    hyp = aes.hypothesis_matrix(traces.ciphertexts, byte_index)
     checkpoints = checkpoint_schedule(len(traces), checkpoint_stride)
+    return _cpa_attack(traces, byte_index, aes.hypothesis_matrix(traces.ciphertexts, byte_index),
+                       checkpoints)
 
+
+def _cpa_attack(traces, byte_index, hyp, checkpoints):
+    """:func:`cpa_attack` given the (n, 256) hypothesis matrix of the
+    traces' ciphertexts and the checkpoint schedule for their count."""
     acc = CorrelationAccumulator(256, traces.samples_per_trace)
     values = np.empty((256, len(checkpoints)))
     start = 0

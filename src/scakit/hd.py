@@ -54,9 +54,9 @@ def _hypotheses_and_sample(traces: TraceSet, byte_index, sample_index):
             traces.samples[:, sample_index].astype(np.float64))
 
 
-def _class_summary(classes, y, key_guess, byte_index) -> HdClassSummary:
-    """Count and mean of ``y`` per HD class, ``classes`` holding each trace's class."""
-    counts = np.bincount(classes, minlength=9)
+def _class_summary(classes, counts, y, key_guess, byte_index) -> HdClassSummary:
+    """Count and mean of ``y`` per HD class, ``classes`` holding each
+    trace's class and ``counts`` its bincount."""
     with np.errstate(invalid="ignore"):
         means = np.bincount(classes, weights=y, minlength=9) / counts   # 0/0 -> NaN
     return HdClassSummary(counts=counts, means=means,
@@ -68,7 +68,8 @@ def group_by_hd(traces: TraceSet, key_guess, byte_index, sample_index=0) -> HdCl
     summarize the chosen sample per class."""
     aes._check_guess(key_guess)
     hyp, y = _hypotheses_and_sample(traces, byte_index, sample_index)
-    return _class_summary(hyp[:, key_guess], y, key_guess, byte_index)
+    classes = hyp[:, key_guess]
+    return _class_summary(classes, np.bincount(classes, minlength=9), y, key_guess, byte_index)
 
 
 def fit_hd_line(summary: HdClassSummary) -> HdFit:
@@ -112,9 +113,22 @@ def wrong_horse_scan(traces: TraceSet, byte_index, correct_guess, sample_index=0
     """
     aes._check_guess(correct_guess)
     hyp, y = _hypotheses_and_sample(traces, byte_index, sample_index)
+    return _wrong_horses(*_hd_classes(hyp), y, byte_index, correct_guess)
+
+
+def _hd_classes(hyp):
+    """The (256, n) contiguous transpose of an (n, 256) hypothesis matrix,
+    one row of HD classes per guess, and each row's (9,) class counts."""
+    classes = np.ascontiguousarray(hyp.T)
+    return classes, [np.bincount(row, minlength=9) for row in classes]
+
+
+def _wrong_horses(classes, counts, y, byte_index, correct_guess):
+    """:func:`wrong_horse_scan` of the float64 sample column ``y``, given
+    the traces' HD classes and counts from :func:`_hd_classes`."""
     abs_r = np.zeros(256)
     for guess in range(256):
-        summary = _class_summary(hyp[:, guess], y, guess, byte_index)
-        if np.count_nonzero(summary.present) >= 2:
+        if np.count_nonzero(counts[guess]) >= 2:
+            summary = _class_summary(classes[guess], counts[guess], y, guess, byte_index)
             abs_r[guess] = abs(fit_hd_line(summary).r)
     return [g for g in range(256) if g != correct_guess and abs_r[g] > abs_r[correct_guess]]

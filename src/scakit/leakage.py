@@ -105,16 +105,27 @@ def toggle_bits(round9, ciphertext) -> np.ndarray:
     return np.unpackbits(np.asarray(round9) ^ np.asarray(ciphertext), axis=1, bitorder="little")
 
 
-def _leakage_samples(key, plaintexts, config, noise):
+def _unaugmented_samples(key, plaintexts, config, noise):
+    """The float64 samples before the augmentation, the toggle bytes
+    (round-9 state XOR ciphertext) and the ciphertexts."""
     round9, cts = aes.last_round_states_batch(key, plaintexts)
-    bits = toggle_bits(round9, cts)
     samples = noise + config.baseline
-    samples[:, config.poi_index] -= bits @ config.bit_weights
-    aug = config.augmentation
+    samples[:, config.poi_index] -= toggle_bits(round9, cts) @ config.bit_weights
+    return samples, round9 ^ cts, cts
+
+
+def _augment(poi, toggles, aug):
+    """Subtract the augmentation offset, in place, from the float64 POI
+    column ``poi`` of the traces whose toggle bytes fire its trigger."""
     if aug is not None:
-        bit = bits[:, 8 * aug.byte_index + aug.bit_index].astype(np.float64)
+        bit = ((toggles[:, aug.byte_index] >> aug.bit_index) & 1).astype(np.float64)
         fires = bit if aug.trigger is Trigger.ON_TOGGLE else 1.0 - bit
-        samples[:, config.poi_index] -= aug.offset * fires
+        poi -= aug.offset * fires
+
+
+def _leakage_samples(key, plaintexts, config, noise):
+    samples, toggles, cts = _unaugmented_samples(key, plaintexts, config, noise)
+    _augment(samples[:, config.poi_index], toggles, config.augmentation)
     return samples.astype(np.float32), cts
 
 
@@ -131,14 +142,8 @@ def simulate_trace(key, plaintext, config: LeakageConfig, rng):
     return samples[0], cts[0]
 
 
-def simulate_campaign_chunk(key, n, config: LeakageConfig, seed, chunk_index) -> TraceSet:
-    """Generate one fixed-size chunk of a campaign.
-
-    Chunk ``c`` covers traces ``[c*CAMPAIGN_CHUNK, min(n, (c+1)*CAMPAIGN_CHUNK))``
-    of the campaign defined by ``(key, n, config, seed)`` and depends only
-    on its own substream, so chunks can be produced in any order or in
-    parallel and concatenated.
-    """
+def _chunk_inputs(n, config, seed, chunk_index):
+    """The plaintexts and noise of one campaign chunk, from its own substream."""
     lo = chunk_index * CAMPAIGN_CHUNK
     hi = min(n, lo + CAMPAIGN_CHUNK)
     if not 0 <= lo < hi:
@@ -147,6 +152,24 @@ def simulate_campaign_chunk(key, n, config: LeakageConfig, seed, chunk_index) ->
     rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
     pts = rng.integers(0, 256, size=(m, 16), dtype=np.uint8)
     noise = rng.normal(0.0, config.noise_sigma, size=(m, config.samples_per_trace))
+    return pts, noise
+
+
+def _chunk_count(n):
+    if n < 1:
+        raise ValueError(f"campaign needs n >= 1 traces, got {n}")
+    return math.ceil(n / CAMPAIGN_CHUNK)
+
+
+def simulate_campaign_chunk(key, n, config: LeakageConfig, seed, chunk_index) -> TraceSet:
+    """Generate one fixed-size chunk of a campaign.
+
+    Chunk ``c`` covers traces ``[c*CAMPAIGN_CHUNK, min(n, (c+1)*CAMPAIGN_CHUNK))``
+    of the campaign defined by ``(key, n, config, seed)`` and depends only
+    on its own substream, so chunks can be produced in any order or in
+    parallel and concatenated.
+    """
+    pts, noise = _chunk_inputs(n, config, seed, chunk_index)
     samples, cts = _leakage_samples(key, pts, config, noise)
     return TraceSet(samples, pts, cts, true_key=aes.as_block(key), seed=seed)
 
@@ -157,11 +180,35 @@ def simulate_campaign(key, n, config: LeakageConfig, seed) -> TraceSet:
     Deterministic in all arguments: the same call always returns a
     byte-identical :class:`TraceSet`.
     """
-    if n < 1:
-        raise ValueError(f"campaign needs n >= 1 traces, got {n}")
-    chunks = [simulate_campaign_chunk(key, n, config, seed, c)
-              for c in range(math.ceil(n / CAMPAIGN_CHUNK))]
-    return concat_trace_sets(chunks)
+    return concat_trace_sets([simulate_campaign_chunk(key, n, config, seed, c)
+                              for c in range(_chunk_count(n))])
+
+
+def simulate_offset_grid(key, n, config: LeakageConfig, seed, augmentations):
+    """Yield one campaign per entry of ``augmentations``, in order.
+
+    Each is byte-identical to ``simulate_campaign`` with that entry as the
+    config's augmentation (``None`` for none); ``config.augmentation``
+    itself is not used.  The grid points share plaintexts, noise and
+    ciphertexts, so the campaign is simulated once and only the POI
+    column is derived again per point.
+    """
+    poi_index = config.poi_index
+    parts = []
+    for c in range(_chunk_count(n)):
+        pts, noise = _chunk_inputs(n, config, seed, c)
+        samples, toggles, cts = _unaugmented_samples(key, pts, config, noise)
+        parts.append((samples.astype(np.float32), samples[:, poi_index].copy(), toggles, pts, cts))
+    base, poi, toggles, pts, cts = (np.concatenate(arrays) for arrays in zip(*parts))
+    del parts
+    pts.flags.writeable = cts.flags.writeable = False   # shared by every yielded set
+    true_key = aes.as_block(key)
+    for augmentation in augmentations:
+        column = poi.copy()
+        _augment(column, toggles, augmentation)
+        samples = base.copy()
+        samples[:, poi_index] = column.astype(np.float32)
+        yield TraceSet(samples, pts, cts, true_key=true_key, seed=seed)
 
 
 def ro_offset_model(n_ro, pulse_fraction, alpha) -> float:

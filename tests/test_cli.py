@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scakit import cli
+from scakit import aes, cli
+from scakit.cpa import cpa_attack
+from scakit.hd import wrong_horse_scan
+from scakit.leakage import Augmentation, LeakageConfig, simulate_campaign
 from scakit.traceio import export_raw, read_sctr
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"
@@ -86,6 +89,41 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
         assert run("simulate", "--config", cfg, "-o", tmp_path / "x.sctr") == 1
         assert "bogus" in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "x.sctr").exists()
+
+
+def test_config_file_reports_bad_value_with_its_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("sigma = 1.0\nn = abc\n")
+    assert run("simulate", "--config", cfg, "-o", tmp_path / "x.sctr") == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith(f"{cfg}:2: bad value for 'n': ")
+    assert "'abc'" in error
+    assert not (tmp_path / "x.sctr").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "abc", "-o", "x.sctr"],
+    ["simulate", "--trigger", "bogus", "-o", "x.sctr"],
+    ["simulate", "--n", "4"],
+    ["attack"],
+    ["nonsense"],
+    [],
+])
+def test_usage_errors_are_json(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    assert not (tmp_path / "x.sctr").exists()
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run("simulate", "--help")
+    assert exit_info.value.code == 0
+    assert "usage: scakit simulate" in capsys.readouterr().out
 
 
 @st.composite
@@ -252,6 +290,65 @@ def test_sweep_table(tmp_path, capsys):
     # a sufficient offset suppresses disclosure in the same campaign
     assert rows["6"]["disclosure"] == ""
     assert int(rows["6"]["wrong_horse_count"]) >= 1
+
+
+# Sweep parameters by flag name; the rest take the defaults below.
+SWEEP_CASES = {
+    "static-s1": dict(n=5000, sigma=4.0, seed=2, offsets=(0, 4.5), bits=(2, 5)),
+    "toggle-s3-poi1": dict(n=9001, sigma=2.0, seed=7, samples=3, poi=1, baseline=2.5,
+                           trigger="toggle", augment_byte=5, byte=5, stride=250,
+                           offsets=(0, 3, 9), bits=(1, 6)),
+}
+SWEEP_DEFAULTS = dict(samples=1, poi=0, baseline=0.0, trigger="static", augment_byte=0,
+                      byte=0, stride=100)
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES.values(), ids=SWEEP_CASES)
+def test_sweep_equals_per_point_oracle(tmp_path, case):
+    p = {**SWEEP_DEFAULTS, **case}
+    flags = {**p, **{grid: ",".join(map(str, p[grid])) for grid in ("offsets", "bits")}}
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--key", KEY, *(f"--{name.replace('_', '-')}={value}"
+                                        for name, value in flags.items()), "-o", out) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+
+    correct = aes.correct_last_round_guess(KEY, p["byte"])
+    expected = []
+    for bit in p["bits"]:
+        for offset in p["offsets"]:
+            config = LeakageConfig.equal_weights(
+                1.0, baseline=p["baseline"], noise_sigma=p["sigma"],
+                samples_per_trace=p["samples"], poi_index=p["poi"],
+                augmentation=Augmentation(p["augment_byte"], bit, offset, p["trigger"]))
+            traces = simulate_campaign(KEY, p["n"], config, p["seed"])
+            result, _ = cpa_attack(traces, p["byte"], p["stride"])
+            horses = wrong_horse_scan(traces, p["byte"], correct, sample_index=p["poi"])
+            expected.append({"bit": str(bit), "offset": format(float(offset), ".17g"),
+                             "disclosure": "" if result.disclosure is None
+                             else str(result.disclosure),
+                             "wrong_horse_count": str(len(horses))})
+    assert rows == expected
+    # without an offset the attack settles, so the comparison is not vacuous
+    assert all(row["disclosure"] for row in rows if row["offset"] == "0")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--bits", "2,9"],
+    ["--bits", "2", "--offsets", "0,-1"],
+    ["--bits", "2", "--stride", "0"],
+    ["--bits", "2", "--byte", "16"],
+    ["--bits", "2", "--poi", "3"],
+])
+def test_sweep_validates_grid_before_simulating(tmp_path, monkeypatch, capsys, flags):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep simulated before validating its grid")
+    monkeypatch.setattr(cli, "simulate_offset_grid", never)
+    monkeypatch.setattr(aes, "last_round_states_batch", never)
+    argv = ["sweep", "--n", 2000, "--offsets", "0,2", *flags, "-o", tmp_path / "s.csv"]
+    assert run(*argv) == 1
+    assert "error" in json.loads(capsys.readouterr().err)
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_convert_round_trip(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scakit import aes
 from scakit.leakage import (
@@ -10,6 +12,7 @@ from scakit.leakage import (
     ro_offset_model,
     simulate_campaign,
     simulate_campaign_chunk,
+    simulate_offset_grid,
     simulate_trace,
     toggle_bits,
 )
@@ -118,6 +121,40 @@ def test_campaign_chunks_are_independent():
     rebuilt = concat_trace_sets(
         [simulate_campaign_chunk(KEY, n, config, seed=5, chunk_index=c) for c in range(3)])
     assert rebuilt.samples.tobytes() == full.samples.tobytes()
+
+
+augmentations = st.one_of(st.none(), st.builds(
+    Augmentation, byte_index=st.integers(0, 15), bit_index=st.integers(0, 7),
+    offset=st.floats(0, 20), trigger=st.sampled_from(Trigger)))
+
+
+@st.composite
+def grid_cases(draw):
+    samples = draw(st.integers(1, 3))
+    config = LeakageConfig(
+        bit_weights=np.array(draw(st.lists(st.floats(0, 4), min_size=128, max_size=128))),
+        baseline=draw(st.floats(-100, 100)),
+        noise_sigma=draw(st.floats(0, 8)),
+        augmentation=draw(augmentations),
+        samples_per_trace=samples,
+        poi_index=draw(st.integers(0, samples - 1)))
+    n = draw(st.integers(1, CAMPAIGN_CHUNK + 300))
+    return config, n, draw(st.integers(0, 2 ** 64 - 1)), draw(st.lists(augmentations, max_size=4))
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=grid_cases())
+def test_offset_grid_equals_separate_campaigns(case):
+    config, n, seed, grid = case
+    yielded = list(simulate_offset_grid(KEY, n, config, seed, grid))
+    assert len(yielded) == len(grid)
+    for augmentation, ts in zip(grid, yielded):
+        config.augmentation = augmentation
+        alone = simulate_campaign(KEY, n, config, seed)
+        assert ts.samples.tobytes() == alone.samples.tobytes()
+        assert ts.plaintexts.tobytes() == alone.plaintexts.tobytes()
+        assert ts.ciphertexts.tobytes() == alone.ciphertexts.tobytes()
+        assert np.array_equal(ts.true_key, alone.true_key) and ts.seed == alone.seed
 
 
 def expected_total_hd(key):
