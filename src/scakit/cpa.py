@@ -149,7 +149,8 @@ def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=100):
     guesses by descending max-over-samples |r| at the full trace count,
     ties broken by ascending guess value.  When the trace set carries its
     true key, the result also reports the correct guess, its rank and
-    the traces-to-disclosure count.
+    the traces-to-disclosure count.  A set on which every guess scores 0
+    (fewer than 2 traces, or samples that do not vary) raises ValueError.
     """
     if len(traces) == 0:
         raise ValueError("cannot attack an empty trace set")
@@ -173,6 +174,9 @@ def _cpa_attack(traces, byte_index, hyp, checkpoints):
     evolution = CorrelationEvolution(np.array(checkpoints), values)
 
     scores = np.abs(values[:, -1])
+    if not scores.any():
+        raise ValueError("every key guess scores 0, so no key can be ranked: the attack "
+                         "needs at least 2 traces and samples that vary across them")
     ranking = np.lexsort((np.arange(256), -scores))
     correct = disclosure = None
     if traces.true_key is not None:

@@ -131,12 +131,47 @@ def test_hypothetical_power_bounds_exhaustive():
 
 def test_hypothesis_matrix_matches_scalar():
     rng = np.random.default_rng(6)
-    cts = rng.integers(0, 256, (30, 16), dtype=np.uint8)
-    for j in (0, 5, 13):
+    cts = rng.integers(0, 256, (5, 16), dtype=np.uint8)
+    before = cts.copy()
+    for j in range(16):
         hyp = aes.hypothesis_matrix(cts, j)
-        for i in (0, 7, 29):
-            for guess in (0, 51, 255):
-                assert hyp[i, guess] == aes.hypothetical_power(cts[i], guess, j)
+        assert hyp.dtype == np.uint8 and hyp.shape == (5, 256) and hyp.flags.c_contiguous
+        expected = [[aes.hypothetical_power(ct, guess, j) for guess in range(256)] for ct in cts]
+        assert np.array_equal(hyp, expected)
+    assert np.array_equal(cts, before)
+    for j in (-1, 16):
+        with pytest.raises(ValueError):
+            aes.hypothesis_matrix(cts, j)
+
+
+def test_hypothesis_matrix_exhaustive_oracle():
+    # byte 1 reads two distinct ct bytes; enumerate every (c1, c2) pair
+    c1, c2 = np.indices((256, 256), dtype=np.uint8).reshape(2, -1, 1)
+    cts = np.zeros((256 * 256, 16), np.uint8)
+    cts[:, aes.SR_FORWARD[1]] = c1[:, 0]
+    cts[:, 1] = c2[:, 0]
+    guesses = np.arange(256, dtype=np.uint8)
+    expected = aes.HW_TABLE[aes.INV_SBOX[c1 ^ guesses] ^ c2]
+    assert np.array_equal(aes.hypothesis_matrix(cts, 1), expected)
+
+
+def gf_mul(a, b):
+    """Product of a and b in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1."""
+    product = 0
+    for i in range(8):
+        if b >> i & 1:
+            product ^= a << i
+    for bit in range(14, 7, -1):
+        if product >> bit & 1:
+            product ^= 0x11B << (bit - 8)
+    return product
+
+
+def test_xtime_table_doubles_in_gf256():
+    # FIPS-197 section 4.2.1: {57} doubled repeatedly
+    assert [gf_mul(v, 2) for v in (0x57, 0xAE, 0x47, 0x8E)] == [0xAE, 0x47, 0x8E, 0x07]
+    assert aes.XTIME.dtype == np.uint8
+    assert aes.XTIME.tolist() == [gf_mul(v, 2) for v in range(256)]
 
 
 def test_hypothetical_power_mean_near_four():

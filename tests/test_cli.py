@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import tempfile
@@ -243,6 +244,25 @@ def test_attack_all_bytes_rejects_evolution_csv(noisy_sctr, tmp_path, capsys):
     assert not evo.exists()
 
 
+@pytest.mark.parametrize("campaign", [["--n", 1], ["--n", 500, "--weight", 0]],
+                         ids=["one-trace", "all-zero-samples"])
+def test_uninformative_campaign_is_an_error(tmp_path, capsys, campaign):
+    sctr = tmp_path / "c.sctr"
+    assert run("simulate", "--key", KEY, *campaign, "-o", sctr) == 0
+    traces = read_sctr(sctr)
+    assert len(traces) == 1 or not traces.samples.any()
+    outputs = [tmp_path / name for name in ("all.json", "evo.csv", "sweep.csv")]
+    for argv in (["attack", sctr, "--all-bytes", "--report", outputs[0]],
+                 ["attack", sctr, "--evolution-csv", outputs[1]],
+                 ["sweep", "--key", KEY, *campaign, "--offsets", "0", "--bits", "2",
+                  "-o", outputs[2]]):
+        capsys.readouterr()
+        assert run(*argv) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "2 traces" in error and "vary" in error
+    assert not any(path.exists() for path in outputs)
+
+
 def test_attack_missing_file_fails(tmp_path, capsys):
     assert run("attack", tmp_path / "absent.sctr") == 1
     err = json.loads(capsys.readouterr().err)
@@ -375,3 +395,42 @@ def test_convert_mismatch_fails(tmp_path, capsys):
                "-o", tmp_path / "x.sctr") == 1
     err = json.loads(capsys.readouterr().err)
     assert "mismatch" in err["error"]
+
+
+# SHA-256 of every output of a few small runs, recorded at commit 7776160
+# with numpy 2.4.6.
+# The same flags must give the same bytes, so a faster kernel has to
+# reproduce these exactly.
+RECORDED_DIGESTS = {
+    "byte0.json": "713d8c2fb46eb052d3bf3e3bf6390683b4972533088df25302c19bc0c7fd0ab4",
+    "capture.csv": "388033e7f25dbd322b705a3444199b6347d8c9bd7b7ac751dd61c37412b5ec9a",
+    "capture.f32": "2069f11b3590d753a14fe64d0f2de376be69b74ff1039bcb8f1f2a371a5c7da8",
+    "converted.sctr": "0813110befec1cdddd5996fc2de7507e75a5e18c826358fdd5899fbf51a5fd13",
+    "evolution.csv": "b775612840c7fb62a5fbea9bc11006befefe759c8ad18559b54f585f7fb90f82",
+    "full.json": "79d457e5b8e67ac2758fcae61f4916ca572b4e5b0154cc2c7f5c20e39a83899d",
+    "full.sctr": "57b4609ad37bbf5e6faaea3eeee00efac4d65fb74a99f76d2230387084bc3c16",
+    "s8.sctr": "c0c4cd3483e0141ca41bd10f1933457613dfe44e91dff84c2398052b1ad9a124",
+    "stdout.txt": "dd6378ab7908b46deedd6c5a08eb308c0c9107ec20bca6ea2ec49c00b9374245",
+    "sweep.csv": "0e5664c31ef42219823d40de90ac57191bfef4e458d5292da94787127bdb0867",
+}
+
+
+def test_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)   # reports echo the input path they were given
+    noise = ["--key", KEY, "--sigma", 4]
+    assert run("simulate", *noise, "--n", 3000, "--seed", 1, "-o", "full.sctr") == 0
+    assert run("attack", "full.sctr", "--all-bytes", "--stride", 150,
+               "--report", "full.json") == 0
+    assert run("simulate", *noise, "--n", 2000, "--samples", 8, "--poi", 3,
+               "--seed", 2, "-o", "s8.sctr") == 0
+    export_raw(read_sctr("s8.sctr"), "capture.f32", "capture.csv")
+    assert run("convert", "capture.f32", "capture.csv", "--samples-per-trace", 8,
+               "-o", "converted.sctr") == 0
+    assert run("attack", "converted.sctr", "--byte", 0, "--report", "byte0.json",
+               "--evolution-csv", "evolution.csv") == 0
+    assert run("sweep", *noise, "--n", 3000, "--seed", 3, "--offsets", "0,4.5,8",
+               "--bits", "2,5", "-o", "sweep.csv") == 0
+    (tmp_path / "stdout.txt").write_text(capsys.readouterr().out)
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.iterdir())}
+    assert digests == RECORDED_DIGESTS
