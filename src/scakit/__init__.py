@@ -49,7 +49,6 @@ from .leakage import (
     Trigger,
     ro_offset_model,
     simulate_campaign,
-    simulate_campaign_chunk,
     simulate_offset_grid,
     simulate_trace,
 )
@@ -61,6 +60,6 @@ from .traceio import (
     read_sctr,
     write_sctr,
 )
-from .traces import TraceSet, concat_trace_sets
+from .traces import TraceSet
 
 __version__ = "0.1.0"

@@ -20,9 +20,12 @@ JSON object and the exit code is nonzero.
 Config file
 -----------
 ``--config FILE`` preloads simulate/sweep parameters from a key=value
-file (``#`` starts a comment).  The recognized keys are the names in
-``_SIM_PARAMS``; each also has a long flag, with ``-`` for ``_``.  Both
-are parsed by the same type, and explicit flags override file values.
+file (``#`` starts a comment).  simulate takes the names in
+``_SIM_PARAMS``, sweep those in ``_SWEEP_PARAMS`` (all but the ones its
+``--bits``/``--offsets`` grid replaces); each also has a long flag, with
+``-`` for ``_``.  Both are parsed by the same type, explicit flags
+override file values, and any other key is an error.  Long flags must be
+spelled out in full.
 
 JSON attack report (schema_version 1)
 -------------------------------------
@@ -73,9 +76,12 @@ _SIM_PARAMS = {
     "pulse": (float, 1.0, "fraction of the window the bank is active"),
     "trigger": (Trigger, Trigger.ON_STATIC, "offset fires when the bit is static or toggles"),
 }
+# The sweep's grid sets the augmented bit and the offset.
+_SWEEP_PARAMS = tuple(name for name in _SIM_PARAMS
+                      if name not in ("augment_bit", "offset", "n_ro", "alpha", "pulse"))
 
 
-def _load_config_file(path):
+def _load_config_file(path, names):
     values = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -86,7 +92,7 @@ def _load_config_file(path):
                 raise ValueError(f"{path}:{line_no}: expected 'key = value', got {raw.strip()!r}")
             name, _, value = line.partition("=")
             name = name.strip()
-            if name not in _SIM_PARAMS:
+            if name not in names:
                 raise ValueError(f"{path}:{line_no}: unknown config key {name!r}")
             try:
                 values[name] = _SIM_PARAMS[name][0](value.strip())
@@ -95,30 +101,24 @@ def _load_config_file(path):
     return values
 
 
-def _add_sim_arguments(parser):
+def _add_sim_arguments(parser, names):
     parser.add_argument("--config", help="key=value file with campaign parameters")
-    for name, (parse, _, help_text) in _SIM_PARAMS.items():
+    for name in names:
+        parse, _, help_text = _SIM_PARAMS[name]
         parser.add_argument("--" + name.replace("_", "-"), dest=name, type=parse, help=help_text)
 
 
-def _resolve_sim_params(args):
-    params = {name: default for name, (_, default, _) in _SIM_PARAMS.items()}
+def _resolve_sim_params(args, names):
+    """Defaults, then the config file, then explicit flags."""
+    params = {name: _SIM_PARAMS[name][1] for name in names}
     if args.config:
-        params.update(_load_config_file(args.config))
-    params.update({name: getattr(args, name) for name in _SIM_PARAMS
+        params.update(_load_config_file(args.config, names))
+    params.update({name: getattr(args, name) for name in names
                    if getattr(args, name) is not None})
-    if params["offset"] is None and params["n_ro"] is not None:
-        if params["alpha"] is None:
-            raise ValueError("--n-ro needs --alpha to convert an oscillator count to an offset")
-        params["offset"] = ro_offset_model(params["n_ro"], params["pulse"], params["alpha"])
     return params
 
 
-def _build_leakage_config(params):
-    augmentation = None
-    if params["offset"] is not None:
-        augmentation = Augmentation(params["augment_byte"], params["augment_bit"],
-                                    params["offset"], params["trigger"])
+def _build_leakage_config(params, augmentation):
     return LeakageConfig.equal_weights(
         params["weight"],
         baseline=params["baseline"],
@@ -142,8 +142,16 @@ def _fmt(value):
 
 
 def cmd_simulate(args) -> int:
-    params = _resolve_sim_params(args)
-    config = _build_leakage_config(params)
+    params = _resolve_sim_params(args, _SIM_PARAMS)
+    if params["n_ro"] is not None:
+        if params["offset"] is not None or params["alpha"] is None:
+            raise ValueError("n_ro sets the offset through alpha: give alpha, and no offset")
+        params["offset"] = ro_offset_model(params["n_ro"], params["pulse"], params["alpha"])
+    augmentation = None
+    if params["offset"] is not None:
+        augmentation = Augmentation(params["augment_byte"], params["augment_bit"],
+                                    params["offset"], params["trigger"])
+    config = _build_leakage_config(params, augmentation)
     trace_set = simulate_campaign(params["key"], params["n"], config, params["seed"])
     write_sctr(trace_set, args.output)
     effective = {k: params[k] for k in sorted(params)}
@@ -248,14 +256,14 @@ def cmd_fit_hd(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    params = _resolve_sim_params(args)
+    params = _resolve_sim_params(args, _SWEEP_PARAMS)
     offsets = [float(v) for v in args.offsets.split(",")]
     bits = [int(v) for v in args.bits.split(",")]
     # Validate the whole grid before the first campaign is simulated.
     points = [(bit, offset) for bit in bits for offset in offsets]
     augmentations = [Augmentation(params["augment_byte"], bit, offset, params["trigger"])
                      for bit, offset in points]
-    config = _build_leakage_config({**params, "offset": None})
+    config = _build_leakage_config(params, None)
     checkpoints = checkpoint_schedule(params["n"], args.stride)
     correct = aes.correct_last_round_guess(params["key"], args.byte)
 
@@ -268,7 +276,7 @@ def cmd_sweep(args) -> int:
             classes, counts = _hd_classes(hyp)
         result, _ = _cpa_attack(traces, args.byte, hyp, checkpoints)
         y = traces.samples[:, config.poi_index].astype(np.float64)
-        horses = _wrong_horses(classes, counts, y, args.byte, correct)
+        horses = _wrong_horses(classes, counts, y, correct)
         rows.append([bit, _fmt(offset),
                      "" if result.disclosure is None else result.disclosure,
                      len(horses)])
@@ -285,7 +293,11 @@ def cmd_convert(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Raises usage errors, so that ``main`` reports them as JSON like any other."""
+    """Raises usage errors, so that ``main`` reports them as JSON like any
+    other, and takes no abbreviated flag: ``--offset`` is not ``--offsets``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs, allow_abbrev=False)
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -297,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="simulate a campaign into an SCTR file")
-    _add_sim_arguments(p_sim)
+    _add_sim_arguments(p_sim, _SIM_PARAMS)
     p_sim.add_argument("-o", "--output", required=True, help="SCTR file to write")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -323,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit_hd)
 
     p_sweep = sub.add_parser("sweep", help="offset/bit grid of simulated countermeasures")
-    _add_sim_arguments(p_sweep)
+    _add_sim_arguments(p_sweep, _SWEEP_PARAMS)
     p_sweep.add_argument("--offsets", required=True, help="comma-separated offsets")
     p_sweep.add_argument("--bits", required=True, help="comma-separated bit indices")
     p_sweep.add_argument("--byte", type=int, default=0, help="state byte index to attack")

@@ -23,7 +23,6 @@ class HdClassSummary:
     counts: np.ndarray   # (9,) traces per class
     means: np.ndarray    # (9,) mean leakage, NaN where the class is empty
     key_guess: int
-    byte_index: int
 
     @property
     def present(self) -> np.ndarray:
@@ -54,13 +53,12 @@ def _hypotheses_and_sample(traces: TraceSet, byte_index, sample_index):
             traces.samples[:, sample_index].astype(np.float64))
 
 
-def _class_summary(classes, counts, y, key_guess, byte_index) -> HdClassSummary:
+def _class_summary(classes, counts, y, key_guess) -> HdClassSummary:
     """Count and mean of ``y`` per HD class, ``classes`` holding each
     trace's class and ``counts`` its bincount."""
     with np.errstate(invalid="ignore"):
         means = np.bincount(classes, weights=y, minlength=9) / counts   # 0/0 -> NaN
-    return HdClassSummary(counts=counts, means=means,
-                          key_guess=int(key_guess), byte_index=int(byte_index))
+    return HdClassSummary(counts=counts, means=means, key_guess=int(key_guess))
 
 
 def group_by_hd(traces: TraceSet, key_guess, byte_index, sample_index=0) -> HdClassSummary:
@@ -69,7 +67,7 @@ def group_by_hd(traces: TraceSet, key_guess, byte_index, sample_index=0) -> HdCl
     aes._check_guess(key_guess)
     hyp, y = _hypotheses_and_sample(traces, byte_index, sample_index)
     classes = hyp[:, key_guess]
-    return _class_summary(classes, np.bincount(classes, minlength=9), y, key_guess, byte_index)
+    return _class_summary(classes, np.bincount(classes, minlength=9), y, key_guess)
 
 
 def fit_hd_line(summary: HdClassSummary) -> HdFit:
@@ -113,7 +111,7 @@ def wrong_horse_scan(traces: TraceSet, byte_index, correct_guess, sample_index=0
     """
     aes._check_guess(correct_guess)
     hyp, y = _hypotheses_and_sample(traces, byte_index, sample_index)
-    return _wrong_horses(*_hd_classes(hyp), y, byte_index, correct_guess)
+    return _wrong_horses(*_hd_classes(hyp), y, correct_guess)
 
 
 def _hd_classes(hyp):
@@ -123,12 +121,12 @@ def _hd_classes(hyp):
     return classes, [np.bincount(row, minlength=9) for row in classes]
 
 
-def _wrong_horses(classes, counts, y, byte_index, correct_guess):
+def _wrong_horses(classes, counts, y, correct_guess):
     """:func:`wrong_horse_scan` of the float64 sample column ``y``, given
     the traces' HD classes and counts from :func:`_hd_classes`."""
     abs_r = np.zeros(256)
     for guess in range(256):
         if np.count_nonzero(counts[guess]) >= 2:
-            summary = _class_summary(classes[guess], counts[guess], y, guess, byte_index)
+            summary = _class_summary(classes[guess], counts[guess], y, guess)
             abs_r[guess] = abs(fit_hd_line(summary).r)
     return [g for g in range(256) if g != correct_guess and abs_r[g] > abs_r[correct_guess]]

@@ -22,11 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aes
-from .traces import TraceSet, concat_trace_sets
+from .traces import TraceSet
 
-# Fixed generation chunk so that campaigns can be produced in parallel:
-# chunk c always covers traces [c*CHUNK, (c+1)*CHUNK) and draws from its
-# own substream, making the result independent of how work is split.
+# Campaigns are generated in fixed chunks: chunk c covers traces
+# [c*CHUNK, (c+1)*CHUNK) and draws from its own (seed, c) substream, so a
+# whole chunk does not depend on n.  A campaign whose n is a multiple of
+# CHUNK is therefore a prefix of every longer one with the same seed.
 CAMPAIGN_CHUNK = 4096
 
 
@@ -123,12 +124,6 @@ def _augment(poi, toggles, aug):
         poi -= aug.offset * fires
 
 
-def _leakage_samples(key, plaintexts, config, noise):
-    samples, toggles, cts = _unaugmented_samples(key, plaintexts, config, noise)
-    _augment(samples[:, config.poi_index], toggles, config.augmentation)
-    return samples.astype(np.float32), cts
-
-
 def simulate_trace(key, plaintext, config: LeakageConfig, rng):
     """One synthetic trace for one encryption.
 
@@ -138,8 +133,9 @@ def simulate_trace(key, plaintext, config: LeakageConfig, rng):
     """
     pt = aes.as_block(plaintext)[None, :]
     noise = rng.normal(0.0, config.noise_sigma, size=(1, config.samples_per_trace))
-    samples, cts = _leakage_samples(key, pt, config, noise)
-    return samples[0], cts[0]
+    samples, toggles, cts = _unaugmented_samples(key, pt, config, noise)
+    _augment(samples[:, config.poi_index], toggles, config.augmentation)
+    return samples[0].astype(np.float32), cts[0]
 
 
 def _chunk_inputs(n, config, seed, chunk_index):
@@ -155,50 +151,27 @@ def _chunk_inputs(n, config, seed, chunk_index):
     return pts, noise
 
 
-def _chunk_count(n):
-    if n < 1:
-        raise ValueError(f"campaign needs n >= 1 traces, got {n}")
-    return math.ceil(n / CAMPAIGN_CHUNK)
-
-
-def simulate_campaign_chunk(key, n, config: LeakageConfig, seed, chunk_index) -> TraceSet:
-    """Generate one fixed-size chunk of a campaign.
-
-    Chunk ``c`` covers traces ``[c*CAMPAIGN_CHUNK, min(n, (c+1)*CAMPAIGN_CHUNK))``
-    of the campaign defined by ``(key, n, config, seed)`` and depends only
-    on its own substream, so chunks can be produced in any order or in
-    parallel and concatenated.
-    """
+def _base_chunk(key, n, config, seed, chunk_index):
+    """Chunk ``chunk_index`` of the campaign before augmentation: float32
+    samples, the float64 POI column, toggle bytes, plaintexts and
+    ciphertexts.  Its float64 temporaries are freed on return."""
     pts, noise = _chunk_inputs(n, config, seed, chunk_index)
-    samples, cts = _leakage_samples(key, pts, config, noise)
-    return TraceSet(samples, pts, cts, true_key=aes.as_block(key), seed=seed)
-
-
-def simulate_campaign(key, n, config: LeakageConfig, seed) -> TraceSet:
-    """Simulate ``n`` encryptions of uniform random plaintexts.
-
-    Deterministic in all arguments: the same call always returns a
-    byte-identical :class:`TraceSet`.
-    """
-    return concat_trace_sets([simulate_campaign_chunk(key, n, config, seed, c)
-                              for c in range(_chunk_count(n))])
+    samples, toggles, cts = _unaugmented_samples(key, pts, config, noise)
+    return samples.astype(np.float32), samples[:, config.poi_index].copy(), toggles, pts, cts
 
 
 def simulate_offset_grid(key, n, config: LeakageConfig, seed, augmentations):
-    """Yield one campaign per entry of ``augmentations``, in order.
+    """Yield one campaign of ``n`` traces per entry of ``augmentations``
+    (``None`` for none), in order; ``config.augmentation`` is not used.
 
-    Each is byte-identical to ``simulate_campaign`` with that entry as the
-    config's augmentation (``None`` for none); ``config.augmentation``
-    itself is not used.  The grid points share plaintexts, noise and
-    ciphertexts, so the campaign is simulated once and only the POI
-    column is derived again per point.
+    The campaign is simulated once; each point derives only its POI column
+    again, from the float64 values, and shares the read-only plaintext and
+    ciphertext arrays with the other points.
     """
+    if n < 1:
+        raise ValueError(f"campaign needs n >= 1 traces, got {n}")
     poi_index = config.poi_index
-    parts = []
-    for c in range(_chunk_count(n)):
-        pts, noise = _chunk_inputs(n, config, seed, c)
-        samples, toggles, cts = _unaugmented_samples(key, pts, config, noise)
-        parts.append((samples.astype(np.float32), samples[:, poi_index].copy(), toggles, pts, cts))
+    parts = [_base_chunk(key, n, config, seed, c) for c in range(math.ceil(n / CAMPAIGN_CHUNK))]
     base, poi, toggles, pts, cts = (np.concatenate(arrays) for arrays in zip(*parts))
     del parts
     pts.flags.writeable = cts.flags.writeable = False   # shared by every yielded set
@@ -209,6 +182,17 @@ def simulate_offset_grid(key, n, config: LeakageConfig, seed, augmentations):
         samples = base.copy()
         samples[:, poi_index] = column.astype(np.float32)
         yield TraceSet(samples, pts, cts, true_key=true_key, seed=seed)
+
+
+def simulate_campaign(key, n, config: LeakageConfig, seed) -> TraceSet:
+    """Simulate ``n`` encryptions of uniform random plaintexts: the offset
+    grid of the one point ``config.augmentation``.
+
+    Deterministic in all arguments: the same call always returns a
+    byte-identical :class:`TraceSet`, with read-only plaintexts and
+    ciphertexts.
+    """
+    return next(simulate_offset_grid(key, n, config, seed, [config.augmentation]))
 
 
 def ro_offset_model(n_ro, pulse_fraction, alpha) -> float:

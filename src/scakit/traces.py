@@ -48,28 +48,3 @@ class TraceSet:
 
     def __len__(self) -> int:
         return self.n_traces
-
-    def verify_ciphertexts(self) -> bool:
-        """Re-encrypt the plaintexts under the recorded key and compare."""
-        if self.true_key is None:
-            raise ValueError("trace set carries no true key to verify against")
-        return bool(np.array_equal(aes.encrypt_batch(self.true_key, self.plaintexts),
-                                   self.ciphertexts))
-
-
-def concat_trace_sets(parts) -> TraceSet:
-    """Concatenate trace sets (e.g. independently generated campaign
-    chunks) into one.  Metadata is taken from the first part."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("need at least one trace set to concatenate")
-    widths = {p.samples_per_trace for p in parts}
-    if len(widths) != 1:
-        raise ValueError(f"trace sets disagree on samples_per_trace: {sorted(widths)}")
-    return TraceSet(
-        samples=np.concatenate([p.samples for p in parts]),
-        plaintexts=np.concatenate([p.plaintexts for p in parts]),
-        ciphertexts=np.concatenate([p.ciphertexts for p in parts]),
-        true_key=parts[0].true_key,
-        seed=parts[0].seed,
-    )

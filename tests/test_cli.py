@@ -41,7 +41,7 @@ def test_simulate_writes_campaign(tmp_path, capsys):
     assert effective["n"] == 40 and effective["seed"] == 9
     ts = read_sctr(out)
     assert ts.n_traces == 40
-    assert ts.verify_ciphertexts()
+    assert np.array_equal(aes.encrypt_batch(ts.true_key, ts.plaintexts), ts.ciphertexts)
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -102,6 +102,18 @@ def test_config_file_reports_bad_value_with_its_line(tmp_path, capsys):
     assert not (tmp_path / "x.sctr").exists()
 
 
+def assert_json_error(capsys, *unwritten):
+    """The command printed nothing but one JSON error and wrote none of
+    ``unwritten``; returns the error message."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    for path in unwritten:
+        assert not path.exists()
+    return json.loads(lines[0])["error"]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n", "abc", "-o", "x.sctr"],
     ["simulate", "--trigger", "bogus", "-o", "x.sctr"],
@@ -109,15 +121,41 @@ def test_config_file_reports_bad_value_with_its_line(tmp_path, capsys):
     ["attack"],
     ["nonsense"],
     [],
+    # flags are never prefix-matched
+    ["simulate", "--n", "4", "--sig", "4", "-o", "x.sctr"],
+    ["simulate", "--n", "4", "--out", "x.sctr"],
+    ["sweep", "--n", "500", "--offset", "4", "--offsets", "0", "--bits", "2", "-o", "x.sctr"],
+    ["sweep", "--n", "500", "--offsets", "0", "--bit", "2", "-o", "x.sctr"],
 ])
 def test_usage_errors_are_json(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert run(*argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
-    assert not (tmp_path / "x.sctr").exists()
+    assert_json_error(capsys, tmp_path / "x.sctr")
+
+
+@pytest.mark.parametrize("param,value", [
+    ("offset", "100"), ("augment_bit", "7"), ("n_ro", "700"), ("alpha", "1"), ("pulse", "1"),
+])
+def test_sweep_rejects_single_augmentation_parameters(tmp_path, capsys, param, value):
+    # the grid sets the bit and offset, so these would be silently ignored
+    out = tmp_path / "s.csv"
+    sweep = ["sweep", "--key", KEY, "--n", 500, "--offsets", "0,4", "--bits", "2", "-o", out]
+    assert run(*sweep, f"--{param.replace('_', '-')}", value) == 1
+    assert "unrecognized" in assert_json_error(capsys, out)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{param} = {value}\n")
+    assert run(*sweep, "--config", cfg) == 1
+    assert f"unknown config key {param!r}" in assert_json_error(capsys, out)
+
+
+def test_simulate_rejects_offset_with_oscillator_count(tmp_path, capsys):
+    out = tmp_path / "x.sctr"
+    assert run("simulate", "--n", 4, "--offset", 4, "--n-ro", 70, "--alpha", 0.1, "-o", out) == 1
+    assert "n_ro" in assert_json_error(capsys, out)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_ro = 70\nalpha = 0.1\n")
+    assert run("simulate", "--config", cfg, "--n", 4, "--offset", 4, "-o", out) == 1
+    assert "n_ro" in assert_json_error(capsys, out)
 
 
 def test_help_still_exits_zero(capsys):

@@ -55,7 +55,7 @@ def test_fit_recovers_exact_line():
     hs = np.nonzero(counts)[0].astype(float)
     means = np.full(9, np.nan)
     means[counts > 0] = 3.5 - 2.25 * hs
-    summary = HdClassSummary(counts=counts, means=means, key_guess=0, byte_index=0)
+    summary = HdClassSummary(counts=counts, means=means, key_guess=0)
     fit = fit_hd_line(summary)
     assert fit.slope == pytest.approx(-2.25, abs=1e-12)
     assert fit.intercept == pytest.approx(3.5, abs=1e-12)
@@ -74,7 +74,7 @@ def test_noiseless_single_byte_fit_is_exact():
 def test_fit_needs_two_classes():
     summary = HdClassSummary(counts=np.array([5, 0, 0, 0, 0, 0, 0, 0, 0]),
                              means=np.array([1.0] + [np.nan] * 8),
-                             key_guess=0, byte_index=0)
+                             key_guess=0)
     with pytest.raises(ValueError):
         fit_hd_line(summary)
 
@@ -92,7 +92,7 @@ def _line_summary(slope, intercept=0.0):
     hs = np.arange(9, dtype=float)
     return HdClassSummary(counts=np.ones(9, dtype=np.int64),
                           means=intercept + slope * hs,
-                          key_guess=0, byte_index=0)
+                          key_guess=0)
 
 
 def test_wrong_horse_scan_empty_without_augmentation():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,10 @@ from scakit.leakage import (
     Trigger,
     ro_offset_model,
     simulate_campaign,
-    simulate_campaign_chunk,
     simulate_offset_grid,
     simulate_trace,
     toggle_bits,
 )
-from scakit.traces import concat_trace_sets
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"
 
@@ -108,19 +108,28 @@ def test_single_trace_campaign():
 
 
 def test_campaign_chunks_are_independent():
-    config = LeakageConfig.equal_weights(1.0, noise_sigma=1.5)
-    n = 2 * CAMPAIGN_CHUNK + 123
-    full = simulate_campaign(KEY, n, config, seed=5)
-    # any chunk can be regenerated on its own, in any order
-    for c in (2, 0, 1):
-        lo = c * CAMPAIGN_CHUNK
-        hi = min(n, lo + CAMPAIGN_CHUNK)
-        part = simulate_campaign_chunk(KEY, n, config, seed=5, chunk_index=c)
-        assert part.samples.tobytes() == full.samples[lo:hi].tobytes()
-        assert np.array_equal(part.plaintexts, full.plaintexts[lo:hi])
-    rebuilt = concat_trace_sets(
-        [simulate_campaign_chunk(KEY, n, config, seed=5, chunk_index=c) for c in range(3)])
-    assert rebuilt.samples.tobytes() == full.samples.tobytes()
+    # whole chunks do not depend on n, so shorter campaigns are prefixes
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=1.5,
+                                         augmentation=Augmentation(3, 5, 2.0))
+    full = simulate_campaign(KEY, 2 * CAMPAIGN_CHUNK + 123, config, seed=5)
+    for n in (CAMPAIGN_CHUNK, 2 * CAMPAIGN_CHUNK):
+        part = simulate_campaign(KEY, n, config, seed=5)
+        assert part.samples.tobytes() == full.samples[:n].tobytes()
+        assert part.plaintexts.tobytes() == full.plaintexts[:n].tobytes()
+        assert part.ciphertexts.tobytes() == full.ciphertexts[:n].tobytes()
+
+
+def test_campaign_peak_memory_stays_below_four_sample_matrices():
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=2.0, samples_per_trace=64,
+                                         poi_index=10, augmentation=Augmentation(0, 2, 4.0))
+    simulate_campaign(KEY, 1, config, seed=8)   # the first call imports numpy.random
+    tracemalloc.start()
+    try:
+        ts = simulate_campaign(KEY, 3 * CAMPAIGN_CHUNK + 100, config, seed=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * ts.samples.nbytes
 
 
 augmentations = st.one_of(st.none(), st.builds(
@@ -197,7 +206,7 @@ def test_noiseless_correlation_with_total_hd_is_minus_one():
 def test_campaign_ciphertexts_verify():
     config = LeakageConfig.equal_weights(1.0, noise_sigma=3.0)
     ts = simulate_campaign(KEY, 300, config, seed=17)
-    assert ts.verify_ciphertexts()
+    assert np.array_equal(aes.encrypt_batch(ts.true_key, ts.plaintexts), ts.ciphertexts)
     assert ts.samples.dtype == np.float32
 
 
