@@ -63,7 +63,8 @@ XTIME = np.array([((v << 1) ^ (0x1B if v & 0x80 else 0)) & 0xFF for v in range(2
                  dtype=np.uint8)
 
 # PRIOR[c, g] is the state byte before the final round under key guess g,
-# given ciphertext byte c at the post-ShiftRows position.
+# given ciphertext byte c at the post-ShiftRows position.  It is
+# symmetric, since c ^ g == g ^ c.
 PRIOR = INV_SBOX[np.bitwise_xor.outer(np.arange(256), np.arange(256))]
 
 
@@ -218,8 +219,15 @@ def hypothesis_matrix(ciphertexts, byte_index) -> np.ndarray:
     """
     _check_byte_index(byte_index)
     cts = _as_batch(ciphertexts)
-    hyp = PRIOR.take(cts[:, SR_FORWARD[byte_index]], axis=0)
-    hyp ^= cts[:, byte_index, None]
+    return _model_values(cts[:, SR_FORWARD[byte_index]], cts[:, byte_index], guess_axis=1)
+
+
+def _model_values(prior_bytes, new_bytes, guess_axis):
+    """HD of each (ciphertext byte at the post-ShiftRows position, byte
+    written) pair under every guess, the guesses along ``guess_axis``:
+    PRIOR's rows or, as it is symmetric, its columns give the prior state."""
+    hyp = PRIOR.take(prior_bytes, axis=1 - guess_axis)
+    hyp ^= np.expand_dims(new_bytes, guess_axis)
     return np.bitwise_count(hyp, out=hyp)
 
 

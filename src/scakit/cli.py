@@ -25,7 +25,9 @@ file (``#`` starts a comment).  simulate takes the names in
 ``--bits``/``--offsets`` grid replaces); each also has a long flag, with
 ``-`` for ``_``.  Both are parsed by the same type, explicit flags
 override file values, and any other key is an error.  Long flags must be
-spelled out in full.
+spelled out in full.  simulate also rejects, from either source, alpha
+or pulse without n_ro, and augment_byte, augment_bit or trigger without
+an offset or n_ro, since it would ignore them.
 
 JSON attack report (schema_version 1)
 -------------------------------------
@@ -50,8 +52,8 @@ import sys
 import numpy as np
 
 from . import aes
-from .cpa import _cpa_attack, checkpoint_schedule, cpa_attack
-from .hd import _hd_classes, _wrong_horses, fit_hd_line, group_by_hd
+from .cpa import _checkpoint_x_sums, _cpa_attack, checkpoint_schedule, cpa_attack
+from .hd import _pair_classes, _wrong_horses, fit_hd_line, group_by_hd
 from .leakage import (Augmentation, LeakageConfig, Trigger, ro_offset_model, simulate_campaign,
                       simulate_offset_grid)
 from .traceio import import_raw, read_sctr, write_sctr
@@ -109,13 +111,14 @@ def _add_sim_arguments(parser, names):
 
 
 def _resolve_sim_params(args, names):
-    """Defaults, then the config file, then explicit flags."""
+    """Defaults, then the config file, then explicit flags; also returns
+    the set of names the file or the flags gave."""
     params = {name: _SIM_PARAMS[name][1] for name in names}
-    if args.config:
-        params.update(_load_config_file(args.config, names))
-    params.update({name: getattr(args, name) for name in names
-                   if getattr(args, name) is not None})
-    return params
+    given = _load_config_file(args.config, names) if args.config else {}
+    given.update({name: getattr(args, name) for name in names
+                  if getattr(args, name) is not None})
+    params.update(given)
+    return params, set(given)
 
 
 def _build_leakage_config(params, augmentation):
@@ -141,14 +144,25 @@ def _fmt(value):
     return format(value, ".17g")
 
 
+def _reject_unused(given, names, needs):
+    unused = [name for name in names if name in given]
+    if unused:
+        raise ValueError(f"{', '.join(unused)} would be ignored without {needs}: "
+                         f"give {needs}, or drop them")
+
+
 def cmd_simulate(args) -> int:
-    params = _resolve_sim_params(args, _SIM_PARAMS)
+    params, given = _resolve_sim_params(args, _SIM_PARAMS)
     if params["n_ro"] is not None:
         if params["offset"] is not None or params["alpha"] is None:
             raise ValueError("n_ro sets the offset through alpha: give alpha, and no offset")
         params["offset"] = ro_offset_model(params["n_ro"], params["pulse"], params["alpha"])
+    else:
+        _reject_unused(given, ("alpha", "pulse"), "n_ro")
     augmentation = None
-    if params["offset"] is not None:
+    if params["offset"] is None:
+        _reject_unused(given, ("augment_byte", "augment_bit", "trigger"), "offset or n_ro")
+    else:
         augmentation = Augmentation(params["augment_byte"], params["augment_bit"],
                                     params["offset"], params["trigger"])
     config = _build_leakage_config(params, augmentation)
@@ -256,7 +270,7 @@ def cmd_fit_hd(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    params = _resolve_sim_params(args, _SWEEP_PARAMS)
+    params, _ = _resolve_sim_params(args, _SWEEP_PARAMS)
     offsets = [float(v) for v in args.offsets.split(",")]
     bits = [int(v) for v in args.bits.split(",")]
     # Validate the whole grid before the first campaign is simulated.
@@ -268,15 +282,16 @@ def cmd_sweep(args) -> int:
     correct = aes.correct_last_round_guess(params["key"], args.byte)
 
     grid = simulate_offset_grid(params["key"], params["n"], config, params["seed"], augmentations)
-    hyp = classes = None
+    hyp = None
     rows = []
     for (bit, offset), traces in zip(points, grid):
-        if hyp is None:   # every grid point shares the ciphertexts, so the hypotheses too
+        if hyp is None:   # every grid point shares the ciphertexts, so all that depends on them
             hyp = aes.hypothesis_matrix(traces.ciphertexts, args.byte)
-            classes, counts = _hd_classes(hyp)
-        result, _ = _cpa_attack(traces, args.byte, hyp, checkpoints)
+            x_sums = _checkpoint_x_sums(hyp, checkpoints)
+            pairs = _pair_classes(traces.ciphertexts, args.byte)
+        result, _ = _cpa_attack(traces, args.byte, hyp, checkpoints, x_sums)
         y = traces.samples[:, config.poi_index].astype(np.float64)
-        horses = _wrong_horses(classes, counts, y, correct)
+        horses = _wrong_horses(pairs, y, correct)
         rows.append([bit, _fmt(offset),
                      "" if result.disclosure is None else result.disclosure,
                      len(horses)])

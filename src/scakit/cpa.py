@@ -62,9 +62,14 @@ class CorrelationAccumulator:
             raise ValueError("hypotheses and samples must be 2-D with matching rows")
         if x.shape[1] != len(self.sum_x) or y.shape[1] != len(self.sum_y):
             raise ValueError("batch width does not match accumulator dimensions")
-        self.n += len(x)
         self.sum_x += x.sum(axis=0)
         self.sum_xx += (x * x).sum(axis=0)
+        self._add_samples(x, y)
+
+    def _add_samples(self, x, y):
+        """Fold in the sample side of a float64 batch: its count, the y
+        sums and ``x.T @ y``, leaving the x sums to the caller."""
+        self.n += len(x)
         self.sum_y += y.sum(axis=0)
         self.sum_yy += (y * y).sum(axis=0)
         self.sum_xy += x.T @ y
@@ -84,12 +89,21 @@ class CorrelationAccumulator:
         zero variance give 0.0."""
         if self.n < 2:
             return np.zeros_like(self.sum_xy)
-        n = float(self.n)
-        cov = self.sum_xy - np.outer(self.sum_x, self.sum_y) / n
-        var_x = np.maximum(self.sum_xx - self.sum_x ** 2 / n, 0.0)
-        var_y = np.maximum(self.sum_yy - self.sum_y ** 2 / n, 0.0)
-        denom = np.sqrt(np.outer(var_x, var_y))
-        return np.divide(cov, denom, out=np.zeros_like(cov), where=denom > 0)
+        return _correlations(np.float64(self.n), self.sum_x, self.sum_xx, self.sum_y,
+                             self.sum_yy, self.sum_xy)
+
+
+def _correlations(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy):
+    """Signed Pearson r from raw sums, batched over leading axes: ``n``
+    has the batch shape, ``sum_x``/``sum_xx`` add a guess axis,
+    ``sum_y``/``sum_yy`` a sample axis and ``sum_xy`` both.  Every step
+    is elementwise, so a batch gives the same bits as one call per item."""
+    n = n[..., None]
+    cov = sum_xy - sum_x[..., :, None] * sum_y[..., None, :] / n[..., None]
+    var_x = np.maximum(sum_xx - sum_x ** 2 / n, 0.0)
+    var_y = np.maximum(sum_yy - sum_y ** 2 / n, 0.0)
+    denom = np.sqrt(var_x[..., :, None] * var_y[..., None, :])
+    return np.divide(cov, denom, out=np.zeros_like(cov), where=denom > 0)
 
 
 @dataclass
@@ -159,18 +173,57 @@ def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=100):
                        checkpoints)
 
 
-def _cpa_attack(traces, byte_index, hyp, checkpoints):
+def _checkpoint_x_sums(hyp, checkpoints):
+    """``sum_x`` and ``sum_xx`` of the (n, 256) hypothesis matrix at every
+    checkpoint, each an (n_checkpoints, 256) array.  The values are small
+    integers, so these float64 sums are exact, and campaigns that share
+    ciphertexts share them."""
+    sum_x = np.empty((len(checkpoints), hyp.shape[1]))
+    sum_xx = np.empty_like(sum_x)
+    start = 0
+    for i, count in enumerate(checkpoints):
+        x = np.asarray(hyp[start:count], dtype=np.float64)
+        sum_x[i] = x.sum(axis=0)
+        sum_xx[i] = (x * x).sum(axis=0)
+        start = count
+    return np.cumsum(sum_x, axis=0), np.cumsum(sum_xx, axis=0)
+
+
+# Upper bound on the (checkpoints, 256, samples) elements whose r is
+# computed in one pass, so memory does not grow with the checkpoint count.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _cpa_attack(traces, byte_index, hyp, checkpoints, x_sums=None):
     """:func:`cpa_attack` given the (n, 256) hypothesis matrix of the
-    traces' ciphertexts and the checkpoint schedule for their count."""
-    acc = CorrelationAccumulator(256, traces.samples_per_trace)
+    traces' ciphertexts, the checkpoint schedule for their count and
+    optionally its :func:`_checkpoint_x_sums`.
+
+    The sample-side sums are folded in segment by segment through
+    :class:`CorrelationAccumulator`; r is then computed for a block of
+    checkpoints at a time, bit for bit as ``correlations`` would at each."""
+    sum_x, sum_xx = _checkpoint_x_sums(hyp, checkpoints) if x_sums is None else x_sums
+    n_samples = traces.samples_per_trace
+    block = max(1, _BLOCK_ELEMENTS // (256 * n_samples))
+    acc = CorrelationAccumulator(256, n_samples)
+    sum_y = np.empty((block, n_samples))
+    sum_yy = np.empty_like(sum_y)
+    sum_xy = np.empty((block, 256, n_samples))
+    counts = np.asarray(checkpoints, dtype=np.float64)
     values = np.empty((256, len(checkpoints)))
     start = 0
     for i, count in enumerate(checkpoints):
-        acc.update(hyp[start:count], traces.samples[start:count])
+        acc._add_samples(np.asarray(hyp[start:count], dtype=np.float64),
+                         np.asarray(traces.samples[start:count], dtype=np.float64))
         start = count
-        r = acc.correlations()
-        best_sample = np.abs(r).argmax(axis=1)
-        values[:, i] = r[np.arange(256), best_sample]
+        j = i % block
+        sum_y[j], sum_yy[j], sum_xy[j] = acc.sum_y, acc.sum_yy, acc.sum_xy
+        if j == block - 1 or i == len(checkpoints) - 1:
+            first = i - j
+            r = _correlations(counts[first:i + 1], sum_x[first:i + 1], sum_xx[first:i + 1],
+                              sum_y[:j + 1], sum_yy[:j + 1], sum_xy[:j + 1])
+            best_sample = np.abs(r).argmax(axis=2)[..., None]
+            values[:, first:i + 1] = np.take_along_axis(r, best_sample, axis=2)[..., 0].T
     evolution = CorrelationEvolution(np.array(checkpoints), values)
 
     scores = np.abs(values[:, -1])

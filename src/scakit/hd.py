@@ -6,6 +6,22 @@ Pearson r of the fit.  Comparing fits across guesses and between plain
 and offset-augmented campaigns shows the countermeasure at work: the
 correct key's slope flips sign and incorrect guesses start to fit the
 leakage better than the correct one.
+
+The wrong-horse scan fits all 256 guesses without 256 passes over the
+traces.  A guess's HD class depends only on the ciphertext pair
+(c1, c2) = (``ct[SR_FORWARD[j]]``, ``ct[j]``), so the traces are summed
+once per distinct pair and each guess's class sums are built from those
+u pair sums (u <= 256 for byte 0, where c1 == c2).  A vectorised line
+fit then screens every guess's |r|.  The screen adds the same values in
+another order, so its |r| may differ from :func:`fit_hd_line`'s in the
+last bits: a rounding bound, which grows as a guess's class means
+spread less, says by how much at most.  A guess is decided by the
+screen only when its |r| clears the correct guess's exact |r| by a
+relative margin of 1e-9 plus that bound; every other guess is re-scored
+exactly with its own per-trace grouping and :func:`fit_hd_line`.  The
+list therefore equals the one the scalar definition gives, also on
+degenerate samples (constant, or noise far below the baseline), where
+every guess is re-scored.
 """
 
 from dataclasses import dataclass
@@ -45,12 +61,11 @@ class SignFlipReport:
     slope_change: float
 
 
-def _hypotheses_and_sample(traces: TraceSet, byte_index, sample_index):
-    """The (n, 256) HD hypotheses and the chosen sample column as float64."""
+def _sample(traces: TraceSet, sample_index):
+    """The chosen sample column as float64."""
     if not 0 <= sample_index < traces.samples_per_trace:
         raise ValueError(f"sample_index {sample_index} outside 0..{traces.samples_per_trace - 1}")
-    return (aes.hypothesis_matrix(traces.ciphertexts, byte_index),
-            traces.samples[:, sample_index].astype(np.float64))
+    return traces.samples[:, sample_index].astype(np.float64)
 
 
 def _class_summary(classes, counts, y, key_guess) -> HdClassSummary:
@@ -65,8 +80,8 @@ def group_by_hd(traces: TraceSet, key_guess, byte_index, sample_index=0) -> HdCl
     """Assign every trace to the HD class its model value predicts and
     summarize the chosen sample per class."""
     aes._check_guess(key_guess)
-    hyp, y = _hypotheses_and_sample(traces, byte_index, sample_index)
-    classes = hyp[:, key_guess]
+    y = _sample(traces, sample_index)
+    classes = aes.hypothesis_matrix(traces.ciphertexts, byte_index)[:, key_guess]
     return _class_summary(classes, np.bincount(classes, minlength=9), y, key_guess)
 
 
@@ -110,23 +125,92 @@ def wrong_horse_scan(traces: TraceSet, byte_index, correct_guess, sample_index=0
     HD classes cannot be fitted and never qualify.
     """
     aes._check_guess(correct_guess)
-    hyp, y = _hypotheses_and_sample(traces, byte_index, sample_index)
-    return _wrong_horses(*_hd_classes(hyp), y, correct_guess)
+    y = _sample(traces, sample_index)
+    return _wrong_horses(_pair_classes(traces.ciphertexts, byte_index), y, correct_guess)
 
 
-def _hd_classes(hyp):
-    """The (256, n) contiguous transpose of an (n, 256) hypothesis matrix,
-    one row of HD classes per guess, and each row's (9,) class counts."""
-    classes = np.ascontiguousarray(hyp.T)
-    return classes, [np.bincount(row, minlength=9) for row in classes]
+@dataclass
+class _PairClasses:
+    """Every guess's HD classes over the distinct ciphertext pairs of a
+    trace set; campaigns that share ciphertexts share it."""
+    inverse: np.ndarray   # (n,) index of each trace's pair
+    table: np.ndarray     # (256, u) uint8 HD class of each pair under each guess
+    counts: np.ndarray    # (256, 9) float64 traces per guess and class
 
 
-def _wrong_horses(classes, counts, y, correct_guess):
+def _pair_classes(ciphertexts, byte_index) -> _PairClasses:
+    """Find the distinct pairs and classify them with the hypothesis
+    kernel, guess-major so each guess's classes are one contiguous row."""
+    aes._check_byte_index(byte_index)
+    prior, new = ciphertexts[:, aes.SR_FORWARD[byte_index]], ciphertexts[:, byte_index]
+    _, first, inverse = np.unique(prior.astype(np.intp) << 8 | new,
+                                  return_index=True, return_inverse=True)
+    table = aes._model_values(prior[first], new[first], guess_axis=0)
+    counts = _class_sums(table, np.bincount(inverse).astype(np.float64))
+    return _PairClasses(inverse, table, counts)
+
+
+# Elements of the (guesses, u) index that one step of _class_sums builds.
+_STEP_ELEMENTS = 1 << 15
+# The k-th guess of a step bins into 9k .. 9k + 8; uint16 holds all 256.
+_BIN_OFFSETS = (9 * np.arange(256, dtype=np.uint16))[:, None]
+
+
+def _class_sums(table, pair_weights):
+    """(256, 9) sums of the (u,) ``pair_weights`` per guess and HD class,
+    taken a few guesses at a time so no (256, u) index is built."""
+    step = max(1, _STEP_ELEMENTS // max(table.shape[1], 1))
+    sums = np.empty((256, 9))
+    for lo in range(0, 256, step):
+        hi = min(lo + step, 256)
+        index = table[lo:hi] + _BIN_OFFSETS[:hi - lo]
+        sums[lo:hi] = np.bincount(index.ravel(), np.tile(pair_weights, hi - lo),
+                                  minlength=9 * (hi - lo)).reshape(hi - lo, 9)
+    return sums
+
+
+def _exact_abs_r(pairs, y, guess):
+    """|r| of :func:`fit_hd_line` for one guess, from its per-trace classes."""
+    classes = pairs.table[guess][pairs.inverse]
+    return abs(fit_hd_line(_class_summary(classes, np.bincount(classes, minlength=9),
+                                          y, guess)).r)
+
+
+def _screen(pairs, y):
+    """Every guess's fit |r| from class sums over the pairs, and a bound on
+    its distance from the |r| :func:`fit_hd_line` gives (inf where the
+    class means spread too little for the screen to be trusted)."""
+    present = pairs.counts > 0
+    k = present.sum(axis=1, keepdims=True)
+    sums = _class_sums(pairs.table, np.bincount(pairs.inverse, y, pairs.table.shape[1]))
+    with np.errstate(invalid="ignore", divide="ignore"):   # unfittable guesses give NaN
+        means = np.where(present, sums / pairs.counts, 0.0)
+        hc = np.where(present, np.arange(9.0) - (present @ np.arange(9.0))[:, None] / k, 0.0)
+        mc = np.where(present, means - means.sum(axis=1, keepdims=True) / k, 0.0)
+        spread = np.sqrt((mc * mc).sum(axis=1))
+        abs_r = np.abs((hc * mc).sum(axis=1)) / (np.sqrt((hc * hc).sum(axis=1)) * spread)
+    # Both paths add the same n values in different orders, so each one's
+    # class means lie within n*u*max|y| of the true ones (u = eps/2), and
+    # centring adds a few u*max|y|.  The two paths' centred means thus
+    # differ by at most `drift` per class (with a factor 2 to spare), and
+    # moving 9 entries by that turns the fit's direction, so r, by at
+    # most 2 * 3 * drift / spread.
+    drift = (4 * len(y) + 32) * np.finfo(np.float64).eps * np.abs(y).max(initial=0.0)
+    trusted = spread > 6 * drift
+    error = np.full(256, np.inf)
+    error[trusted] = 6 * drift / spread[trusted] + 1e-13
+    return np.nan_to_num(abs_r), error
+
+
+def _wrong_horses(pairs, y, correct_guess):
     """:func:`wrong_horse_scan` of the float64 sample column ``y``, given
-    the traces' HD classes and counts from :func:`_hd_classes`."""
-    abs_r = np.zeros(256)
-    for guess in range(256):
-        if np.count_nonzero(counts[guess]) >= 2:
-            summary = _class_summary(classes[guess], counts[guess], y, guess)
-            abs_r[guess] = abs(fit_hd_line(summary).r)
-    return [g for g in range(256) if g != correct_guess and abs_r[g] > abs_r[correct_guess]]
+    the :func:`_pair_classes` of the traces' ciphertexts."""
+    fittable = np.count_nonzero(pairs.counts, axis=1) >= 2
+    abs_r, error = _screen(pairs, y)
+    abs_r[~fittable] = 0.0
+    correct_r = _exact_abs_r(pairs, y, correct_guess) if fittable[correct_guess] else 0.0
+    recheck = fittable & (np.abs(abs_r - correct_r) <= 1e-9 * correct_r + error)
+    recheck[correct_guess] = False
+    for guess in np.flatnonzero(recheck):
+        abs_r[guess] = _exact_abs_r(pairs, y, guess)
+    return [g for g in range(256) if g != correct_guess and abs_r[g] > correct_r]

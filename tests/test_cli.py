@@ -158,6 +158,27 @@ def test_simulate_rejects_offset_with_oscillator_count(tmp_path, capsys):
     assert "n_ro" in assert_json_error(capsys, out)
 
 
+@pytest.mark.parametrize("param,value,others", [
+    ("alpha", "0.1", []),
+    ("pulse", "0.5", []),
+    ("pulse", "1", ["--offset", "4"]),          # the default value, given
+    ("augment_byte", "3", []),
+    ("augment_bit", "2", []),                   # the default value, given
+    ("trigger", "toggle", []),
+])
+def test_simulate_rejects_parameters_it_would_ignore(tmp_path, capsys, param, value, others):
+    # alpha and pulse act only through n_ro, the augmentation's byte, bit
+    # and trigger only with an offset
+    out = tmp_path / "x.sctr"
+    assert run("simulate", "--n", 4, *others, f"--{param.replace('_', '-')}", value,
+               "-o", out) == 1
+    assert param in assert_json_error(capsys, out)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{param} = {value}\n")
+    assert run("simulate", "--config", cfg, "--n", 4, *others, "-o", out) == 1
+    assert param in assert_json_error(capsys, out)
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exit_info:
         run("simulate", "--help")
@@ -177,11 +198,12 @@ def campaign_params(draw):
         "samples": samples,
         "poi": draw(st.integers(0, samples - 1)),
         "seed": draw(st.integers(0, 2 ** 64 - 1)),
-        "augment_byte": draw(st.integers(0, 15)),
-        "augment_bit": draw(st.integers(0, 7)),
-        "trigger": draw(st.sampled_from(["static", "toggle"])),
     }
     source = draw(st.sampled_from(["none", "offset", "ro-bank"]))
+    if source != "none":   # without an offset simulate rejects these
+        params.update(augment_byte=draw(st.integers(0, 15)),
+                      augment_bit=draw(st.integers(0, 7)),
+                      trigger=draw(st.sampled_from(["static", "toggle"])))
     if source == "offset":
         params["offset"] = draw(st.floats(0, 10))
     elif source == "ro-bank":
@@ -436,7 +458,7 @@ def test_convert_mismatch_fails(tmp_path, capsys):
 
 
 # SHA-256 of every output of a few small runs, recorded at commit 7776160
-# with numpy 2.4.6.
+# with numpy 2.4.6; sweep5.csv recorded at commit 4465a48.
 # The same flags must give the same bytes, so a faster kernel has to
 # reproduce these exactly.
 RECORDED_DIGESTS = {
@@ -450,6 +472,7 @@ RECORDED_DIGESTS = {
     "s8.sctr": "c0c4cd3483e0141ca41bd10f1933457613dfe44e91dff84c2398052b1ad9a124",
     "stdout.txt": "dd6378ab7908b46deedd6c5a08eb308c0c9107ec20bca6ea2ec49c00b9374245",
     "sweep.csv": "0e5664c31ef42219823d40de90ac57191bfef4e458d5292da94787127bdb0867",
+    "sweep5.csv": "a88f2019213e499b31b67ac3e19b4b53b8b51928a384659938952cd863941e5c",
 }
 
 
@@ -468,6 +491,9 @@ def test_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys):
                "--evolution-csv", "evolution.csv") == 0
     assert run("sweep", *noise, "--n", 3000, "--seed", 3, "--offsets", "0,4.5,8",
                "--bits", "2,5", "-o", "sweep.csv") == 0
+    assert run("sweep", *noise, "--sigma", 12, "--n", 3000, "--seed", 3, "--byte", 5,
+               "--augment-byte", 5, "--trigger", "toggle", "--samples", 4, "--poi", 2,
+               "--offsets", "0,4.5,8", "--bits", "2,5", "-o", "sweep5.csv") == 0
     (tmp_path / "stdout.txt").write_text(capsys.readouterr().out)
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(tmp_path.iterdir())}

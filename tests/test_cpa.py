@@ -3,6 +3,8 @@ import pytest
 
 from scakit import aes
 from scakit.cpa import (
+    _checkpoint_x_sums,
+    _cpa_attack,
     AttackResult,
     CorrelationAccumulator,
     CorrelationEvolution,
@@ -12,7 +14,7 @@ from scakit.cpa import (
     rank_of_guess,
     traces_to_disclosure,
 )
-from scakit.leakage import Augmentation, LeakageConfig, simulate_campaign
+from scakit.leakage import Augmentation, LeakageConfig, simulate_campaign, simulate_offset_grid
 from scakit.traceio import export_raw, import_raw
 from scakit.traces import TraceSet
 
@@ -161,6 +163,49 @@ def test_rank_of_guess_is_total(tmp_path):
     export_raw(ts, tmp_path / "c.f32", tmp_path / "c.csv")
     result, _ = cpa_attack(import_raw(tmp_path / "c.f32", tmp_path / "c.csv"), 0)
     assert result.correct_guess is None and result.correct_rank is None
+
+
+def accumulator_evolution(traces, byte_index, checkpoints):
+    """The evolution one CorrelationAccumulator update and correlations
+    call per checkpoint gives."""
+    hyp = aes.hypothesis_matrix(traces.ciphertexts, byte_index)
+    acc = CorrelationAccumulator(256, traces.samples_per_trace)
+    values, start = [], 0
+    for count in checkpoints:
+        acc.update(hyp[start:count], traces.samples[start:count])
+        start = count
+        r = acc.correlations()
+        values.append(r[np.arange(256), np.abs(r).argmax(axis=1)])
+    return np.array(values).T
+
+
+# (n, samples per trace, stride): S=1 over more checkpoints than one
+# batch holds, S=8, n not a multiple of the stride, a stride past n.
+EVOLUTION_CASES = [(3001, 1, 10), (2000, 1, 100), (9001, 8, 250), (700, 8, 1000), (5, 1, 1)]
+
+
+@pytest.mark.parametrize("n,samples,stride", EVOLUTION_CASES)
+def test_batched_evolution_equals_accumulator_loop(n, samples, stride):
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=samples,
+                                         poi_index=samples // 2)
+    ts = simulate_campaign(KEY, n, config, seed=n)
+    _, evolution = cpa_attack(ts, 5, stride)
+    expected = accumulator_evolution(ts, 5, checkpoint_schedule(n, stride))
+    assert evolution.values.tobytes() == expected.tobytes()
+
+
+def test_campaigns_sharing_ciphertexts_share_x_sums():
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=2)
+    augmentations = [Augmentation(0, 2, 0.0), Augmentation(0, 5, 6.0)]
+    checkpoints = checkpoint_schedule(2501, 100)
+    hyp = x_sums = None
+    for traces in simulate_offset_grid(KEY, 2501, config, 8, augmentations):
+        if hyp is None:
+            hyp = aes.hypothesis_matrix(traces.ciphertexts, 0)
+            x_sums = _checkpoint_x_sums(hyp, checkpoints)
+        _, evolution = _cpa_attack(traces, 0, hyp, checkpoints, x_sums)
+        expected = accumulator_evolution(traces, 0, checkpoints)
+        assert evolution.values.tobytes() == expected.tobytes()
 
 
 def test_attack_is_invariant_under_trace_permutation():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scakit import aes
+from scakit import aes, hd
 from scakit.hd import (
     HdClassSummary,
     fit_for_guess,
@@ -10,7 +12,7 @@ from scakit.hd import (
     sign_flip_report,
     wrong_horse_scan,
 )
-from scakit.leakage import Augmentation, LeakageConfig, simulate_campaign
+from scakit.leakage import Augmentation, LeakageConfig, Trigger, simulate_campaign
 from scakit.traces import TraceSet
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"
@@ -108,6 +110,95 @@ def test_wrong_horse_scan_nonempty_with_sufficient_offset():
     horses = wrong_horse_scan(ts, 0, CORRECT_BYTE0)
     assert len(horses) >= 1
     assert CORRECT_BYTE0 not in horses
+
+
+def scalar_wrong_horses(traces, byte_index, correct_guess, sample_index=0):
+    """The wrong-horse definition, one guess at a time."""
+    abs_r = np.zeros(256)
+    for guess in range(256):
+        summary = group_by_hd(traces, guess, byte_index, sample_index)
+        if np.count_nonzero(summary.counts) >= 2:
+            abs_r[guess] = abs(fit_hd_line(summary).r)
+    return [g for g in range(256) if g != correct_guess and abs_r[g] > abs_r[correct_guess]]
+
+
+@settings(max_examples=12)
+@given(byte_index=st.sampled_from([0, 1, 5]), offset=st.sampled_from([0.0, 3.0, 4.5, 6.0, 12.0]),
+       trigger=st.sampled_from(list(Trigger)), samples=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_wrong_horse_scan_equals_scalar_definition(byte_index, offset, trigger, samples, seed):
+    aug = Augmentation(byte_index, 2, offset, trigger)
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, augmentation=aug,
+                                         samples_per_trace=samples, poi_index=samples - 1)
+    ts = simulate_campaign(KEY, 1500, config, seed)
+    correct = aes.correct_last_round_guess(KEY, byte_index)
+    assert (wrong_horse_scan(ts, byte_index, correct, samples - 1)
+            == scalar_wrong_horses(ts, byte_index, correct, samples - 1))
+
+
+@pytest.fixture
+def rescored(monkeypatch):
+    """The guesses the scan re-scores exactly, in call order."""
+    calls = []
+    exact = hd._exact_abs_r
+
+    def recording(pairs, y, guess):
+        calls.append(int(guess))
+        return exact(pairs, y, guess)
+    monkeypatch.setattr(hd, "_exact_abs_r", recording)
+    return calls
+
+
+@pytest.mark.parametrize("byte_index", [0, 5])
+def test_wrong_horse_scan_rechecks_guesses_that_tie(rescored, byte_index):
+    # With two distinct ciphertext pairs every fittable guess puts the
+    # traces into two HD classes, and two points always lie on a line:
+    # those guesses tie the correct one at |r| = 1 up to rounding, so
+    # only the exact re-check can order them.
+    rng = np.random.default_rng(byte_index)
+    cts = rng.integers(0, 256, size=(2, 16), dtype=np.uint8)[rng.integers(0, 2, size=500)]
+    ts = TraceSet(rng.normal(size=(500, 1)), np.zeros_like(cts), cts)
+    correct = next(g for g in range(256)
+                   if np.count_nonzero(group_by_hd(ts, g, byte_index).counts) == 2)
+    expected = scalar_wrong_horses(ts, byte_index, correct)
+    assert wrong_horse_scan(ts, byte_index, correct) == expected
+    assert len(rescored) > 1   # the correct guess, then the tied rivals
+
+
+@pytest.mark.parametrize("config", [
+    LeakageConfig.equal_weights(0.0, baseline=0.1),
+    LeakageConfig.equal_weights(0.0, baseline=1e3, noise_sigma=1e-12),
+], ids=["constant", "baseline-1e3-noise-1e-12"])
+def test_wrong_horse_scan_on_degenerate_samples(config):
+    ts = simulate_campaign(KEY, 2000, config, seed=4)
+    for byte_index in (0, 5):
+        correct = aes.correct_last_round_guess(KEY, byte_index)
+        assert (wrong_horse_scan(ts, byte_index, correct)
+                == scalar_wrong_horses(ts, byte_index, correct))
+
+
+@pytest.mark.parametrize("column", [
+    np.full(3000, 0.1),
+    1e3 + 1e-12 * np.random.default_rng(0).standard_normal(3000),
+], ids=["constant", "baseline-1e3-noise-1e-12"])
+def test_screen_defers_fits_decided_by_rounding(rescored, column):
+    # float64 columns whose class means differ only by rounding: the
+    # screen's |r| is noise there, so every fittable guess is re-scored.
+    ts = simulate_campaign(KEY, 3000, LeakageConfig.equal_weights(1.0), seed=1)
+    for byte_index in (0, 5):
+        hyp = aes.hypothesis_matrix(ts.ciphertexts, byte_index)
+        abs_r = np.zeros(256)
+        for guess in range(256):
+            counts = np.bincount(hyp[:, guess], minlength=9)
+            with np.errstate(invalid="ignore"):
+                means = np.bincount(hyp[:, guess], weights=column, minlength=9) / counts
+            abs_r[guess] = abs(fit_hd_line(HdClassSummary(counts, means, guess)).r)
+        correct = aes.correct_last_round_guess(KEY, byte_index)
+        expected = [g for g in range(256) if g != correct and abs_r[g] > abs_r[correct]]
+        rescored.clear()
+        pairs = hd._pair_classes(ts.ciphertexts, byte_index)
+        assert hd._wrong_horses(pairs, column, correct) == expected
+        assert sorted(rescored) == list(range(256))
 
 
 def test_argument_validation():
