@@ -138,24 +138,16 @@ def simulate_trace(key, plaintext, config: LeakageConfig, rng):
     return samples[0].astype(np.float32), cts[0]
 
 
-def _chunk_inputs(n, config, seed, chunk_index):
-    """The plaintexts and noise of one campaign chunk, from its own substream."""
+def _base_chunk(key, n, config, seed, chunk_index):
+    """Chunk ``chunk_index`` of the campaign before augmentation, drawn
+    from its own (seed, chunk) substream: float32 samples, the float64 POI
+    column, toggle bytes, plaintexts and ciphertexts.  Its float64
+    temporaries are freed on return."""
     lo = chunk_index * CAMPAIGN_CHUNK
-    hi = min(n, lo + CAMPAIGN_CHUNK)
-    if not 0 <= lo < hi:
-        raise ValueError(f"chunk {chunk_index} is empty for a campaign of {n} traces")
-    m = hi - lo
+    m = min(n, lo + CAMPAIGN_CHUNK) - lo
     rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
     pts = rng.integers(0, 256, size=(m, 16), dtype=np.uint8)
     noise = rng.normal(0.0, config.noise_sigma, size=(m, config.samples_per_trace))
-    return pts, noise
-
-
-def _base_chunk(key, n, config, seed, chunk_index):
-    """Chunk ``chunk_index`` of the campaign before augmentation: float32
-    samples, the float64 POI column, toggle bytes, plaintexts and
-    ciphertexts.  Its float64 temporaries are freed on return."""
-    pts, noise = _chunk_inputs(n, config, seed, chunk_index)
     samples, toggles, cts = _unaugmented_samples(key, pts, config, noise)
     return samples.astype(np.float32), samples[:, config.poi_index].copy(), toggles, pts, cts
 

@@ -26,6 +26,7 @@ Two formats are supported:
   each).  Sample bits survive both directions untouched.
 """
 
+import contextlib
 import csv
 import os
 import struct
@@ -54,47 +55,49 @@ def _record_dtype(samples_per_trace):
                      ("samples", "<f4", (samples_per_trace,))])
 
 
+@contextlib.contextmanager
+def _opened(target, mode):
+    """Yield ``target`` itself if it is a binary file object, else the file
+    it names opened in ``mode``; errors opening, reading or writing that
+    file name it."""
+    if hasattr(target, "read" if mode == "rb" else "write"):
+        yield target
+        return
+    try:
+        with open(target, mode) as fh:
+            yield fh
+    except OSError as exc:
+        verb = "read" if mode == "rb" else "write"
+        raise OSError(f"cannot {verb} trace file {target!r}: {exc}") from exc
+
+
 def write_sctr(trace_set: TraceSet, destination) -> None:
     """Serialize a trace set to ``destination`` (path or binary file)."""
     flags = _FLAG_TRUE_KEY if trace_set.true_key is not None else 0
     seed = trace_set.seed if trace_set.seed is not None else 0
     if not 0 <= seed < 2 ** 64:
         raise SctrFormatError(f"seed {seed} does not fit the header's 64-bit field")
-    header = _HEADER.pack(SCTR_MAGIC, SCTR_VERSION, flags,
-                          trace_set.n_traces, trace_set.samples_per_trace, seed)
     records = np.empty(trace_set.n_traces, dtype=_record_dtype(trace_set.samples_per_trace))
     records["plaintext"] = trace_set.plaintexts
     records["ciphertext"] = trace_set.ciphertexts
-    records["samples"] = trace_set.samples.reshape(trace_set.n_traces, -1)
-
-    def _dump(fh):
-        fh.write(header)
+    records["samples"] = trace_set.samples
+    with _opened(destination, "wb") as fh:
+        fh.write(_HEADER.pack(SCTR_MAGIC, SCTR_VERSION, flags,
+                              trace_set.n_traces, trace_set.samples_per_trace, seed))
         if flags & _FLAG_TRUE_KEY:
             fh.write(bytes(trace_set.true_key))
-        fh.write(records.tobytes())
-
-    if hasattr(destination, "write"):
-        _dump(destination)
-    else:
-        try:
-            with open(destination, "wb") as fh:
-                _dump(fh)
-        except OSError as exc:
-            raise OSError(f"cannot write trace file {destination!r}: {exc}") from exc
+        fh.write(records)
 
 
 def read_sctr(source) -> TraceSet:
-    """Parse and validate an SCTR file (path or binary file)."""
-    if hasattr(source, "read"):
-        data = source.read()
-        name = getattr(source, "name", "<stream>")
-    else:
-        name = source
-        try:
-            with open(source, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise OSError(f"cannot read trace file {source!r}: {exc}") from exc
+    """Parse and validate an SCTR file (path or binary file).
+
+    The file is read once; the returned samples, plaintexts and
+    ciphertexts are read-only views of that buffer.
+    """
+    with _opened(source, "rb") as fh:
+        data = fh.read()
+        name = getattr(fh, "name", "<stream>")
 
     if len(data) < _HEADER.size:
         raise SctrFormatError(
@@ -113,17 +116,13 @@ def read_sctr(source) -> TraceSet:
         raise SctrFormatError(
             f"{name}: size mismatch, header declares {expected} bytes but file has {len(data)}")
 
-    offset = _HEADER.size
-    true_key = None
-    if key_len:
-        true_key = np.frombuffer(data, dtype=np.uint8, count=16, offset=offset).copy()
-        offset += 16
-    records = np.frombuffer(data, dtype=_record_dtype(spt), count=n_traces, offset=offset)
+    records = np.frombuffer(data, dtype=_record_dtype(spt), count=n_traces,
+                            offset=_HEADER.size + key_len)
     return TraceSet(
-        samples=records["samples"].reshape(n_traces, spt).copy(),
-        plaintexts=records["plaintext"].copy(),
-        ciphertexts=records["ciphertext"].copy(),
-        true_key=true_key,
+        samples=records["samples"],
+        plaintexts=records["plaintext"],
+        ciphertexts=records["ciphertext"],
+        true_key=data[_HEADER.size:_HEADER.size + 16] if key_len else None,
         seed=int(seed) if seed != 0 else None,
     )
 
@@ -132,7 +131,7 @@ def export_raw(trace_set: TraceSet, samples_path, meta_path) -> None:
     """Dump samples as a header-less little-endian float32 matrix plus a
     metadata CSV.  The true key, if any, is not exported."""
     with open(samples_path, "wb") as fh:
-        fh.write(np.ascontiguousarray(trace_set.samples, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(trace_set.samples, dtype="<f4"))
     with open(meta_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["plaintext_hex", "ciphertext_hex"])
@@ -149,7 +148,7 @@ def _parse_hex_field(value, row, column):
     if len(raw) != 16:
         raise TraceImportError(
             f"{column} in row {row}: expected 32 hex chars, got {len(value)}")
-    return np.frombuffer(raw, dtype=np.uint8)
+    return raw
 
 
 def import_raw(samples_path, meta_path, samples_per_trace=None) -> TraceSet:
@@ -175,13 +174,13 @@ def import_raw(samples_path, meta_path, samples_per_trace=None) -> TraceSet:
             raise TraceImportError(
                 f"{meta_path}: header must name plaintext_hex and ciphertext_hex, "
                 f"got {header}") from None
-        plaintexts, ciphertexts = [], []
+        blocks = bytearray()   # per row: plaintext(16) ciphertext(16)
         for row_no, row in enumerate(reader, start=1):
             if len(row) <= max(pt_col, ct_col):
                 raise TraceImportError(f"{meta_path}: row {row_no} has only {len(row)} fields")
-            plaintexts.append(_parse_hex_field(row[pt_col], row_no, "plaintext_hex"))
-            ciphertexts.append(_parse_hex_field(row[ct_col], row_no, "ciphertext_hex"))
-    n = len(plaintexts)
+            blocks += _parse_hex_field(row[pt_col], row_no, "plaintext_hex")
+            blocks += _parse_hex_field(row[ct_col], row_no, "ciphertext_hex")
+    n = len(blocks) // 32
     if n == 0:
         raise TraceImportError(f"{meta_path}: no metadata rows")
 
@@ -206,5 +205,5 @@ def import_raw(samples_path, meta_path, samples_per_trace=None) -> TraceSet:
         raise TraceImportError(f"{samples_path}: traces would have zero samples")
 
     samples = np.fromfile(samples_path, dtype="<f4").reshape(n, spt)
-    return TraceSet(samples=samples, plaintexts=np.vstack(plaintexts),
-                    ciphertexts=np.vstack(ciphertexts))
+    blocks = np.frombuffer(blocks, dtype=np.uint8).reshape(n, 2, 16)
+    return TraceSet(samples=samples, plaintexts=blocks[:, 0], ciphertexts=blocks[:, 1])

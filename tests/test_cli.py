@@ -458,7 +458,8 @@ def test_convert_mismatch_fails(tmp_path, capsys):
 
 
 # SHA-256 of every output of a few small runs, recorded at commit 7776160
-# with numpy 2.4.6; sweep5.csv recorded at commit 4465a48.
+# with numpy 2.4.6; sweep5.csv recorded at commit 4465a48; the fit-hd
+# CSVs and the stdout.txt that includes their lines at commit 0a36760.
 # The same flags must give the same bytes, so a faster kernel has to
 # reproduce these exactly.
 RECORDED_DIGESTS = {
@@ -467,10 +468,14 @@ RECORDED_DIGESTS = {
     "capture.f32": "2069f11b3590d753a14fe64d0f2de376be69b74ff1039bcb8f1f2a371a5c7da8",
     "converted.sctr": "0813110befec1cdddd5996fc2de7507e75a5e18c826358fdd5899fbf51a5fd13",
     "evolution.csv": "b775612840c7fb62a5fbea9bc11006befefe759c8ad18559b54f585f7fb90f82",
+    "fit5_lines.csv": "29aea54df0a9b07eec9ad15d7135443110473f464d6b4e0f354cbfda5eb13258",
+    "fit5_points.csv": "07ef8422b4ecd475168ad83d24695b76174c5d5b504bc59afaafaafc88af3aed",
+    "fit_lines.csv": "7508f3c4c4038151ba498d331ba4502877ec3e344ec1a96450504efa3bc2b145",
+    "fit_points.csv": "bfdfea38aa49715fc8f6109f5e146082deda59bb570e035a047b2aacef9c3ad3",
     "full.json": "79d457e5b8e67ac2758fcae61f4916ca572b4e5b0154cc2c7f5c20e39a83899d",
     "full.sctr": "57b4609ad37bbf5e6faaea3eeee00efac4d65fb74a99f76d2230387084bc3c16",
     "s8.sctr": "c0c4cd3483e0141ca41bd10f1933457613dfe44e91dff84c2398052b1ad9a124",
-    "stdout.txt": "dd6378ab7908b46deedd6c5a08eb308c0c9107ec20bca6ea2ec49c00b9374245",
+    "stdout.txt": "b11f55a3842e28e58b171a7468cf88fb0ea2682a4bb29f8f5a400d88a337e51d",
     "sweep.csv": "0e5664c31ef42219823d40de90ac57191bfef4e458d5292da94787127bdb0867",
     "sweep5.csv": "a88f2019213e499b31b67ac3e19b4b53b8b51928a384659938952cd863941e5c",
 }
@@ -489,6 +494,11 @@ def test_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys):
                "-o", "converted.sctr") == 0
     assert run("attack", "converted.sctr", "--byte", 0, "--report", "byte0.json",
                "--evolution-csv", "evolution.csv") == 0
+    assert run("fit-hd", "s8.sctr", "--sample", 3,
+               "--points", "fit_points.csv", "--fits", "fit_lines.csv") == 0
+    assert run("fit-hd", "converted.sctr", "--byte", 5, "--sample", 3, "--guess", 17,
+               "--guess", 62, "--guess", 200,
+               "--points", "fit5_points.csv", "--fits", "fit5_lines.csv") == 0
     assert run("sweep", *noise, "--n", 3000, "--seed", 3, "--offsets", "0,4.5,8",
                "--bits", "2,5", "-o", "sweep.csv") == 0
     assert run("sweep", *noise, "--sigma", 12, "--n", 3000, "--seed", 3, "--byte", 5,

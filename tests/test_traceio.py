@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,13 @@ def test_sctr_rejects_size_mismatch(tmp_path):
 def test_sctr_missing_file_is_io_error(tmp_path):
     with pytest.raises(OSError):
         read_sctr(tmp_path / "nope.sctr")
+
+
+def test_sctr_io_errors_name_the_path(tmp_path):
+    with pytest.raises(OSError, match="cannot read trace file .*nope.sctr"):
+        read_sctr(tmp_path / "nope.sctr")
+    with pytest.raises(OSError, match="cannot write trace file .*no-dir"):
+        write_sctr(_campaign(n=2, spt=1), tmp_path / "no-dir" / "x.sctr")
 
 
 def test_raw_round_trip_drops_key(tmp_path):
@@ -223,3 +231,36 @@ def test_sctr_rejects_seed_outside_header_field(seed):
     ts.seed = seed
     with pytest.raises(SctrFormatError, match="seed"):
         write_sctr(ts, io.BytesIO())
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_trace_io_holds_each_byte_once(tmp_path):
+    n, spt = 3000, 64
+    ts = _campaign(n=n, spt=spt)
+    path, raw, meta = tmp_path / "m.sctr", tmp_path / "m.f32", tmp_path / "m.csv"
+    export_raw(ts, raw, meta)
+    write_sctr(ts, path)          # warm-up: every call below has run once
+    read_sctr(path)
+    import_raw(raw, meta)
+    file_size = path.stat().st_size
+
+    _, peak = _traced_peak(lambda: write_sctr(ts, path))
+    assert peak < 1.5 * file_size
+    back, peak = _traced_peak(lambda: read_sctr(path))
+    assert peak < 1.5 * file_size
+    for arr in (back.samples, back.plaintexts, back.ciphertexts):
+        assert not arr.flags.writeable
+    imported, peak = _traced_peak(lambda: import_raw(raw, meta))
+    assert peak < 1.5 * (ts.samples.nbytes + 32 * n)
+    assert imported.samples.tobytes() == ts.samples.tobytes()
+    assert np.array_equal(imported.plaintexts, ts.plaintexts)
+    assert np.array_equal(imported.ciphertexts, ts.ciphertexts)
