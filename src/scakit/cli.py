@@ -52,7 +52,7 @@ import sys
 import numpy as np
 
 from . import aes
-from .cpa import _checkpoint_x_sums, _cpa_attack, checkpoint_schedule, cpa_attack
+from .cpa import _cpa_attack, checkpoint_schedule, cpa_attack
 from .hd import _pair_classes, _wrong_horses, fit_hd_line, group_by_hd
 from .leakage import (Augmentation, LeakageConfig, Trigger, ro_offset_model, simulate_campaign,
                       simulate_offset_grid)
@@ -84,7 +84,7 @@ _SWEEP_PARAMS = tuple(name for name in _SIM_PARAMS
 
 
 def _load_config_file(path, names):
-    values = {}
+    values, first_line = {}, {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -96,6 +96,10 @@ def _load_config_file(path, names):
             name = name.strip()
             if name not in names:
                 raise ValueError(f"{path}:{line_no}: unknown config key {name!r}")
+            if name in first_line:
+                raise ValueError(f"{path}:{line_no}: duplicate config key {name!r} "
+                                 f"(first set on line {first_line[name]})")
+            first_line[name] = line_no
             try:
                 values[name] = _SIM_PARAMS[name][0](value.strip())
             except ValueError as exc:
@@ -282,14 +286,13 @@ def cmd_sweep(args) -> int:
     correct = aes.correct_last_round_guess(params["key"], args.byte)
 
     grid = simulate_offset_grid(params["key"], params["n"], config, params["seed"], augmentations)
-    hyp = None
+    hypotheses = pairs = None
     rows = []
     for (bit, offset), traces in zip(points, grid):
-        if hyp is None:   # every grid point shares the ciphertexts, so all that depends on them
-            hyp = aes.hypothesis_matrix(traces.ciphertexts, args.byte)
-            x_sums = _checkpoint_x_sums(hyp, checkpoints)
+        # Every grid point shares the ciphertexts: the first builds what depends on them.
+        result, _, hypotheses = _cpa_attack(traces, args.byte, checkpoints, hypotheses)
+        if pairs is None:
             pairs = _pair_classes(traces.ciphertexts, args.byte)
-        result, _ = _cpa_attack(traces, args.byte, hyp, checkpoints, x_sums)
         y = traces.samples[:, config.poi_index].astype(np.float64)
         horses = _wrong_horses(pairs, y, correct)
         rows.append([bit, _fmt(offset),

@@ -169,8 +169,7 @@ def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=100):
     if len(traces) == 0:
         raise ValueError("cannot attack an empty trace set")
     checkpoints = checkpoint_schedule(len(traces), checkpoint_stride)
-    return _cpa_attack(traces, byte_index, aes.hypothesis_matrix(traces.ciphertexts, byte_index),
-                       checkpoints)
+    return _cpa_attack(traces, byte_index, checkpoints)[:2]
 
 
 def _checkpoint_x_sums(hyp, checkpoints):
@@ -194,15 +193,19 @@ def _checkpoint_x_sums(hyp, checkpoints):
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _cpa_attack(traces, byte_index, hyp, checkpoints, x_sums=None):
-    """:func:`cpa_attack` given the (n, 256) hypothesis matrix of the
-    traces' ciphertexts, the checkpoint schedule for their count and
-    optionally its :func:`_checkpoint_x_sums`.
+def _cpa_attack(traces, byte_index, checkpoints, hypotheses=None):
+    """:func:`cpa_attack` at ``checkpoints``, returning also its set-up
+    ``hypotheses``: the traces' (n, 256) hypothesis matrix and its
+    :func:`_checkpoint_x_sums`, built here unless an earlier call on the
+    same ciphertexts and checkpoints gave them.
 
     The sample-side sums are folded in segment by segment through
     :class:`CorrelationAccumulator`; r is then computed for a block of
     checkpoints at a time, bit for bit as ``correlations`` would at each."""
-    sum_x, sum_xx = _checkpoint_x_sums(hyp, checkpoints) if x_sums is None else x_sums
+    if hypotheses is None:
+        hyp = aes.hypothesis_matrix(traces.ciphertexts, byte_index)
+        hypotheses = (hyp, *_checkpoint_x_sums(hyp, checkpoints))
+    hyp, sum_x, sum_xx = hypotheses
     n_samples = traces.samples_per_trace
     block = max(1, _BLOCK_ELEMENTS // (256 * n_samples))
     acc = CorrelationAccumulator(256, n_samples)
@@ -238,7 +241,7 @@ def _cpa_attack(traces, byte_index, hyp, checkpoints, x_sums=None):
     result = AttackResult(byte_index=byte_index, best_guess=int(ranking[0]),
                           ranking=ranking, scores=scores, disclosure=disclosure,
                           correct_guess=correct)
-    return result, evolution
+    return result, evolution, hypotheses
 
 
 def traces_to_disclosure(evolution: CorrelationEvolution, correct_guess) -> int | None:

@@ -68,9 +68,9 @@ def _sample(traces: TraceSet, sample_index):
     return traces.samples[:, sample_index].astype(np.float64)
 
 
-def _class_summary(classes, counts, y, key_guess) -> HdClassSummary:
-    """Count and mean of ``y`` per HD class, ``classes`` holding each
-    trace's class and ``counts`` its bincount."""
+def _class_summary(classes, y, key_guess) -> HdClassSummary:
+    """Count and mean of ``y`` per HD class, ``classes`` holding each trace's class."""
+    counts = np.bincount(classes, minlength=9)
     with np.errstate(invalid="ignore"):
         means = np.bincount(classes, weights=y, minlength=9) / counts   # 0/0 -> NaN
     return HdClassSummary(counts=counts, means=means, key_guess=int(key_guess))
@@ -82,7 +82,7 @@ def group_by_hd(traces: TraceSet, key_guess, byte_index, sample_index=0) -> HdCl
     aes._check_guess(key_guess)
     y = _sample(traces, sample_index)
     classes = aes.hypothesis_matrix(traces.ciphertexts, byte_index)[:, key_guess]
-    return _class_summary(classes, np.bincount(classes, minlength=9), y, key_guess)
+    return _class_summary(classes, y, key_guess)
 
 
 def fit_hd_line(summary: HdClassSummary) -> HdFit:
@@ -172,8 +172,7 @@ def _class_sums(table, pair_weights):
 def _exact_abs_r(pairs, y, guess):
     """|r| of :func:`fit_hd_line` for one guess, from its per-trace classes."""
     classes = pairs.table[guess][pairs.inverse]
-    return abs(fit_hd_line(_class_summary(classes, np.bincount(classes, minlength=9),
-                                          y, guess)).r)
+    return abs(fit_hd_line(_class_summary(classes, y, guess)).r)
 
 
 def _screen(pairs, y):
@@ -183,7 +182,7 @@ def _screen(pairs, y):
     present = pairs.counts > 0
     k = present.sum(axis=1, keepdims=True)
     sums = _class_sums(pairs.table, np.bincount(pairs.inverse, y, pairs.table.shape[1]))
-    with np.errstate(invalid="ignore", divide="ignore"):   # unfittable guesses give NaN
+    with np.errstate(invalid="ignore", divide="ignore"):   # unfittable guesses give NaN, then 0
         means = np.where(present, sums / pairs.counts, 0.0)
         hc = np.where(present, np.arange(9.0) - (present @ np.arange(9.0))[:, None] / k, 0.0)
         mc = np.where(present, means - means.sum(axis=1, keepdims=True) / k, 0.0)
@@ -207,7 +206,6 @@ def _wrong_horses(pairs, y, correct_guess):
     the :func:`_pair_classes` of the traces' ciphertexts."""
     fittable = np.count_nonzero(pairs.counts, axis=1) >= 2
     abs_r, error = _screen(pairs, y)
-    abs_r[~fittable] = 0.0
     correct_r = _exact_abs_r(pairs, y, correct_guess) if fittable[correct_guess] else 0.0
     recheck = fittable & (np.abs(abs_r - correct_r) <= 1e-9 * correct_r + error)
     recheck[correct_guess] = False

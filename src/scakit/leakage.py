@@ -46,8 +46,7 @@ class Augmentation:
     trigger: Trigger = Trigger.ON_STATIC
 
     def __post_init__(self):
-        if not 0 <= self.byte_index <= 15:
-            raise ValueError(f"byte_index must be in 0..15, got {self.byte_index}")
+        aes._check_byte_index(self.byte_index)
         if not 0 <= self.bit_index <= 7:
             raise ValueError(f"bit_index must be in 0..7, got {self.bit_index}")
         if not 0 <= self.offset < math.inf:

@@ -160,7 +160,7 @@ def import_raw(samples_path, meta_path, samples_per_trace=None) -> TraceSet:
     and the CSV row count.  Any inconsistency is an error, never a silent
     truncation.  Rows are counted from 1 (the header line is row 0).
     """
-    with open(meta_path, newline="") as fh:
+    with open(meta_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -189,18 +189,11 @@ def import_raw(samples_path, meta_path, samples_per_trace=None) -> TraceSet:
         raise TraceImportError(
             f"{samples_path}: size {size} is not a whole number of float32 samples")
     n_floats = size // 4
-    if samples_per_trace is not None:
-        if n_floats != n * samples_per_trace:
-            raise TraceImportError(
-                f"row-count mismatch: {meta_path} has {n} rows but {samples_path} holds "
-                f"{n_floats} samples, not {n} x {samples_per_trace}")
-        spt = samples_per_trace
-    else:
-        if n_floats % n != 0:
-            raise TraceImportError(
-                f"row-count mismatch: {samples_path} holds {n_floats} samples, "
-                f"not divisible by the {n} metadata rows in {meta_path}")
-        spt = n_floats // n
+    spt = n_floats // n if samples_per_trace is None else samples_per_trace
+    if n_floats != n * spt:
+        raise TraceImportError(
+            f"row-count mismatch: {meta_path} has {n} rows but {samples_path} holds "
+            f"{n_floats} samples, not {n} x {spt}")
     if spt == 0:
         raise TraceImportError(f"{samples_path}: traces would have zero samples")
 

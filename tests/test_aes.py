@@ -27,6 +27,8 @@ def test_encrypt_batch_matches_scalar():
     batch = aes.encrypt_batch(key, pts)
     for i in range(20):
         assert np.array_equal(batch[i], aes.encrypt_block(key, pts[i]))
+    with pytest.raises(ValueError, match=r"\(n, 16\) byte array"):
+        aes.encrypt_batch(key, pts[:, :15])
 
 
 def test_key_schedule_round10():

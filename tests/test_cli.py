@@ -102,6 +102,19 @@ def test_config_file_reports_bad_value_with_its_line(tmp_path, capsys):
     assert not (tmp_path / "x.sctr").exists()
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--offsets", "0", "--bits", "2"]],
+                         ids=["simulate", "sweep"])
+@pytest.mark.parametrize("text,message", [
+    ("n = 5\nn = 7\n", "2: duplicate config key 'n' (first set on line 1)"),
+    ("sigma = 1.0\nn 5\n", "2: expected 'key = value', got 'n 5'"),
+], ids=["duplicate-key", "no-equals"])
+def test_config_file_line_errors(tmp_path, capsys, command, text, message):
+    cfg, out = tmp_path / "c.cfg", tmp_path / "x.out"
+    cfg.write_text(text)
+    assert run(*command, "--config", cfg, "-o", out) == 1
+    assert assert_json_error(capsys, out) == f"{cfg}:{message}"
+
+
 def assert_json_error(capsys, *unwritten):
     """The command printed nothing but one JSON error and wrote none of
     ``unwritten``; returns the error message."""
@@ -118,6 +131,7 @@ def assert_json_error(capsys, *unwritten):
     ["simulate", "--n", "abc", "-o", "x.sctr"],
     ["simulate", "--trigger", "bogus", "-o", "x.sctr"],
     ["simulate", "--n", "4"],
+    ["simulate", "--n", "4", "--samples", "0", "-o", "x.sctr"],
     ["attack"],
     ["nonsense"],
     [],
@@ -351,6 +365,16 @@ def test_fit_hd_defaults_to_correct_guess(noisy_sctr, capsys):
     assert out.startswith(f"guess  {CORRECT_BYTE0}")
 
 
+def test_fit_hd_needs_a_guess_without_a_recorded_key(noisy_sctr, tmp_path, capsys):
+    raw, meta, converted = tmp_path / "c.f32", tmp_path / "c.csv", tmp_path / "c.sctr"
+    export_raw(read_sctr(noisy_sctr), raw, meta)
+    assert run("convert", raw, meta, "-o", converted) == 0
+    capsys.readouterr()
+    points = tmp_path / "points.csv"
+    assert run("fit-hd", converted, "--points", points) == 1
+    assert "records no true key" in assert_json_error(capsys, points)
+
+
 def test_sweep_table(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--key", KEY, "--n", 4000, "--sigma", 4, "--seed", 1,
@@ -444,6 +468,17 @@ def test_convert_round_trip(tmp_path, capsys):
     assert back.samples.tobytes() == ts.samples.tobytes()
     assert np.array_equal(back.ciphertexts, ts.ciphertexts)
     assert back.true_key is None
+
+
+def test_convert_accepts_a_byte_order_mark(tmp_path, capsys):
+    ts = simulate_campaign(KEY, 25, LeakageConfig.equal_weights(1.0, noise_sigma=1.0), seed=2)
+    raw, meta, bom_meta = tmp_path / "dump.f32", tmp_path / "dump.csv", tmp_path / "bom.csv"
+    export_raw(ts, raw, meta)
+    bom_meta.write_bytes(b"\xef\xbb\xbf" + meta.read_bytes())   # as spreadsheets save it
+    plain, bom = tmp_path / "plain.sctr", tmp_path / "bom.sctr"
+    assert run("convert", raw, meta, "-o", plain) == 0
+    assert run("convert", raw, bom_meta, "-o", bom) == 0
+    assert bom.read_bytes() == plain.read_bytes()
 
 
 def test_convert_mismatch_fails(tmp_path, capsys):

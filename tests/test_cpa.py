@@ -3,7 +3,6 @@ import pytest
 
 from scakit import aes
 from scakit.cpa import (
-    _checkpoint_x_sums,
     _cpa_attack,
     AttackResult,
     CorrelationAccumulator,
@@ -77,6 +76,34 @@ def test_accumulator_merge_matches_sequential():
     assert np.max(np.abs(merged.correlations() - seq.correlations())) < 1e-12
 
 
+def test_accumulator_rejects_mismatched_batches():
+    acc = CorrelationAccumulator(4, 2)
+    with pytest.raises(ValueError, match="matching rows"):
+        acc.update(np.zeros((3, 4)), np.zeros((2, 2)))
+    for hyp, samples in ((np.zeros((3, 5)), np.zeros((3, 2))),
+                         (np.zeros((3, 4)), np.zeros((3, 3)))):
+        with pytest.raises(ValueError, match="batch width"):
+            acc.update(hyp, samples)
+    assert acc.n == 0
+
+
+def test_accumulator_holds_a_large_dc_baseline():
+    # Samples centred on a 16-bit ADC's midscale: the raw sums of y and y*y
+    # carry a large common part that the variance must cancel.
+    n = 20000
+    config = LeakageConfig.equal_weights(1.0, baseline=32768.0, noise_sigma=4.0,
+                                         samples_per_trace=2, poi_index=1)
+    ts = simulate_campaign(KEY, n, config, seed=6)
+    hyp = aes.hypothesis_matrix(ts.ciphertexts, 0)
+    acc = CorrelationAccumulator(256, 2)
+    for lo in range(0, n, 1000):
+        acc.update(hyp[lo:lo + 1000], ts.samples[lo:lo + 1000])
+    reference = two_pass_correlations(hyp, ts.samples)
+    assert np.max(np.abs(acc.correlations() - reference)) < 1e-8
+    result, _ = cpa_attack(ts, 0)
+    assert result.correct_rank == 1
+
+
 def test_accumulator_zero_variance_convention():
     acc = CorrelationAccumulator(2, 1)
     acc.update(np.array([[1.0, 4.0], [1.0, 5.0], [1.0, 6.0]]), np.zeros((3, 1)))
@@ -123,6 +150,8 @@ def test_evolution_validation():
         CorrelationEvolution(np.array([100, 200]), np.full((256, 2), 1.01))
     with pytest.raises(ValueError):
         CorrelationEvolution(np.array([], dtype=int), np.zeros((256, 0)))
+    with pytest.raises(ValueError, match="values width"):
+        CorrelationEvolution(np.array([100, 200]), np.zeros((256, 3)))
 
 
 def test_attack_result_ranking_must_be_permutation():
@@ -198,12 +227,9 @@ def test_campaigns_sharing_ciphertexts_share_x_sums():
     config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=2)
     augmentations = [Augmentation(0, 2, 0.0), Augmentation(0, 5, 6.0)]
     checkpoints = checkpoint_schedule(2501, 100)
-    hyp = x_sums = None
+    hypotheses = None
     for traces in simulate_offset_grid(KEY, 2501, config, 8, augmentations):
-        if hyp is None:
-            hyp = aes.hypothesis_matrix(traces.ciphertexts, 0)
-            x_sums = _checkpoint_x_sums(hyp, checkpoints)
-        _, evolution = _cpa_attack(traces, 0, hyp, checkpoints, x_sums)
+        _, evolution, hypotheses = _cpa_attack(traces, 0, checkpoints, hypotheses)
         expected = accumulator_evolution(traces, 0, checkpoints)
         assert evolution.values.tobytes() == expected.tobytes()
 

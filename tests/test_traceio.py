@@ -104,6 +104,16 @@ def test_sctr_rejects_size_mismatch(tmp_path):
         read_sctr(path)
 
 
+def test_sctr_rejects_zero_samples_per_trace(tmp_path):
+    path = tmp_path / "empty.sctr"
+    write_sctr(_campaign(n=2, spt=1), path)
+    data = bytearray(path.read_bytes())
+    data[12:16] = (0).to_bytes(4, "little")   # the header's samples_per_trace field
+    path.write_bytes(bytes(data))
+    with pytest.raises(SctrFormatError, match="samples_per_trace must be >= 1"):
+        read_sctr(path)
+
+
 def test_sctr_missing_file_is_io_error(tmp_path):
     with pytest.raises(OSError):
         read_sctr(tmp_path / "nope.sctr")
@@ -144,11 +154,14 @@ def test_import_raw_infers_trace_length(tmp_path):
 
 
 def test_import_raw_row_count_mismatch(tmp_path):
+    # given or inferred, the trace length follows one rule with one message
     raw, meta = _write_raw(tmp_path, n=2, spt=3, rows=3)
-    with pytest.raises(TraceImportError, match="row-count mismatch"):
+    with pytest.raises(TraceImportError, match="row-count mismatch: .* has 3 rows but "
+                                               ".* holds 6 samples"):
         import_raw(raw, meta, samples_per_trace=3)
     raw, meta = _write_raw(tmp_path, n=1, spt=4, rows=3)
-    with pytest.raises(TraceImportError, match="row-count mismatch"):
+    with pytest.raises(TraceImportError, match="row-count mismatch: .* has 3 rows but "
+                                               ".* holds 4 samples"):
         import_raw(raw, meta)
 
 
@@ -182,6 +195,25 @@ def test_import_raw_rejects_empty_csv(tmp_path):
     meta.write_text("")
     with pytest.raises(TraceImportError, match="empty"):
         import_raw(raw, meta)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("plaintext_hex,ciphertext_hex\n", "no metadata rows"),
+    ("plaintext_hex,ciphertext_hex\n" + "00" * 16 + "\n", "row 1 has only 1 fields"),
+], ids=["header-only", "short-row"])
+def test_import_raw_rejects_bad_metadata_rows(tmp_path, text, message):
+    raw, meta = _write_raw(tmp_path, n=1, spt=1)
+    meta.write_text(text)
+    with pytest.raises(TraceImportError, match=message):
+        import_raw(raw, meta)
+
+
+@pytest.mark.parametrize("samples_per_trace", [None, 0])
+def test_import_raw_rejects_empty_sample_file(tmp_path, samples_per_trace):
+    raw, meta = _write_raw(tmp_path, n=2, spt=0)
+    assert raw.stat().st_size == 0
+    with pytest.raises(TraceImportError, match="zero samples"):
+        import_raw(raw, meta, samples_per_trace=samples_per_trace)
 
 
 def test_import_raw_rejects_ragged_file(tmp_path):
