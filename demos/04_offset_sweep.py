@@ -1,12 +1,14 @@
 """How large does the offset have to be?
 
 Sweeps the augmentation offset on a fixed-seed campaign and tabulates
-traces-to-disclosure and the wrong-horse count per offset.  The grid
-entry point simulates the campaign once and re-derives only the
-augmented sample for each offset.  Shows the
-effectiveness window: too small and the attack still wins, large enough
-and the correct key drops out of contention.  Also maps a ring-
-oscillator bank size to its offset via the linear bank model.
+traces-to-disclosure and the wrong-horse count per offset.
+``simulate_offset_grid`` simulates the campaign once and re-derives only
+the augmented sample for each offset; ``attack_offset_grid`` attacks and
+scans every campaign, building what depends only on the shared
+ciphertexts once.  Shows the effectiveness window: too small and the
+attack still wins, large enough and the correct key drops out of
+contention.  Also maps a ring-oscillator bank size to its offset via the
+linear bank model.
 """
 
 import scakit as sk
@@ -21,9 +23,7 @@ mults = (0, 1, 2, 3, 4, 4.5, 5, 6, 8)
 config = sk.LeakageConfig.equal_weights(w, noise_sigma=4.0)
 grid = sk.simulate_offset_grid(key, 10_000, config, 1,
                                [sk.Augmentation(0, 2, offset=mult * w) for mult in mults])
-for mult, traces in zip(mults, grid):
-    result, _ = sk.cpa_attack(traces, 0)
-    horses = sk.wrong_horse_scan(traces, 0, correct)
+for mult, (result, horses) in zip(mults, sk.attack_offset_grid(grid, 0, correct)):
     print(f"{mult:>6}w {str(result.disclosure):>11} "
           f"{sk.rank_of_guess(result, correct):>13} {len(horses):>13}")
 

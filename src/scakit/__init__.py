@@ -37,6 +37,7 @@ from .hd import (
     HdClassSummary,
     HdFit,
     SignFlipReport,
+    attack_offset_grid,
     fit_for_guess,
     fit_hd_line,
     group_by_hd,

@@ -20,14 +20,15 @@ JSON object and the exit code is nonzero.
 Config file
 -----------
 ``--config FILE`` preloads simulate/sweep parameters from a key=value
-file (``#`` starts a comment).  simulate takes the names in
-``_SIM_PARAMS``, sweep those in ``_SWEEP_PARAMS`` (all but the ones its
-``--bits``/``--offsets`` grid replaces); each also has a long flag, with
-``-`` for ``_``.  Both are parsed by the same type, explicit flags
-override file values, and any other key is an error.  Long flags must be
-spelled out in full.  simulate also rejects, from either source, alpha
-or pulse without n_ro, and augment_byte, augment_bit or trigger without
-an offset or n_ro, since it would ignore them.
+UTF-8 file (``#`` starts a comment, a byte-order mark is skipped).
+simulate takes the names in ``_SIM_PARAMS``, sweep those in
+``_SWEEP_PARAMS`` (all but the ones its ``--bits``/``--offsets`` grid
+replaces); each also has a long flag, with ``-`` for ``_``.  Both are
+parsed by the same type, explicit flags override file values, and any
+other key is an error.  Long flags must be spelled out in full.
+simulate also rejects, from either source, alpha or pulse without n_ro,
+and augment_byte, augment_bit or trigger without an offset or n_ro,
+since it would ignore them.
 
 JSON attack report (schema_version 1)
 -------------------------------------
@@ -44,6 +45,7 @@ in wire order and the cipher key obtained by inverting the key schedule
 """
 
 import argparse
+import codecs
 import contextlib
 import csv
 import json
@@ -52,8 +54,8 @@ import sys
 import numpy as np
 
 from . import aes
-from .cpa import _cpa_attack, checkpoint_schedule, cpa_attack
-from .hd import _pair_classes, _wrong_horses, fit_hd_line, group_by_hd
+from .cpa import checkpoint_schedule, cpa_attack
+from .hd import attack_offset_grid, fit_hd_line, group_by_hd
 from .leakage import (Augmentation, LeakageConfig, Trigger, ro_offset_model, simulate_campaign,
                       simulate_offset_grid)
 from .traceio import import_raw, read_sctr, write_sctr
@@ -85,25 +87,30 @@ _SWEEP_PARAMS = tuple(name for name in _SIM_PARAMS
 
 def _load_config_file(path, names):
     values, first_line = {}, {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value', got {raw.strip()!r}")
-            name, _, value = line.partition("=")
-            name = name.strip()
-            if name not in names:
-                raise ValueError(f"{path}:{line_no}: unknown config key {name!r}")
-            if name in first_line:
-                raise ValueError(f"{path}:{line_no}: duplicate config key {name!r} "
-                                 f"(first set on line {first_line[name]})")
-            first_line[name] = line_no
-            try:
-                values[name] = _SIM_PARAMS[name][0](value.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: bad value for {name!r}: {exc}") from None
+    with open(path, "rb") as fh:   # UTF-8, with or without the BOM some editors write
+        lines = fh.read().removeprefix(codecs.BOM_UTF8).splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            raw = raw.decode()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{line_no}: not UTF-8 text: {exc}") from None
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected 'key = value', got {raw.strip()!r}")
+        name, _, value = line.partition("=")
+        name = name.strip()
+        if name not in names:
+            raise ValueError(f"{path}:{line_no}: unknown config key {name!r}")
+        if name in first_line:
+            raise ValueError(f"{path}:{line_no}: duplicate config key {name!r} "
+                             f"(first set on line {first_line[name]})")
+        first_line[name] = line_no
+        try:
+            values[name] = _SIM_PARAMS[name][0](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: bad value for {name!r}: {exc}") from None
     return values
 
 
@@ -275,29 +282,20 @@ def cmd_fit_hd(args) -> int:
 
 def cmd_sweep(args) -> int:
     params, _ = _resolve_sim_params(args, _SWEEP_PARAMS)
-    offsets = [float(v) for v in args.offsets.split(",")]
-    bits = [int(v) for v in args.bits.split(",")]
-    # Validate the whole grid before the first campaign is simulated.
-    points = [(bit, offset) for bit in bits for offset in offsets]
+    # Validate the whole grid, the stride and the byte before the first
+    # campaign is simulated.
+    points = [(bit, offset) for bit in args.bits for offset in args.offsets]
     augmentations = [Augmentation(params["augment_byte"], bit, offset, params["trigger"])
                      for bit, offset in points]
     config = _build_leakage_config(params, None)
-    checkpoints = checkpoint_schedule(params["n"], args.stride)
+    checkpoint_schedule(params["n"], args.stride)
     correct = aes.correct_last_round_guess(params["key"], args.byte)
 
     grid = simulate_offset_grid(params["key"], params["n"], config, params["seed"], augmentations)
-    hypotheses = pairs = None
-    rows = []
-    for (bit, offset), traces in zip(points, grid):
-        # Every grid point shares the ciphertexts: the first builds what depends on them.
-        result, _, hypotheses = _cpa_attack(traces, args.byte, checkpoints, hypotheses)
-        if pairs is None:
-            pairs = _pair_classes(traces.ciphertexts, args.byte)
-        y = traces.samples[:, config.poi_index].astype(np.float64)
-        horses = _wrong_horses(pairs, y, correct)
-        rows.append([bit, _fmt(offset),
-                     "" if result.disclosure is None else result.disclosure,
-                     len(horses)])
+    attacks = attack_offset_grid(grid, args.byte, correct, args.stride, config.poi_index)
+    rows = [[bit, _fmt(offset), "" if result.disclosure is None else result.disclosure,
+             len(horses)]
+            for (bit, offset), (result, horses) in zip(points, attacks)]
     _write_csv(args.output, ["bit", "offset", "disclosure", "wrong_horse_count"], rows)
     return 0
 
@@ -308,6 +306,14 @@ def cmd_convert(args) -> int:
     print(json.dumps({"command": "convert", "n_traces": traces.n_traces,
                       "samples_per_trace": traces.samples_per_trace, "output": args.output}))
     return 0
+
+
+def _list_of(parse):
+    """argparse type for a comma-separated list of ``parse`` values."""
+    def parse_list(text):
+        return [parse(value) for value in text.split(",")]
+    parse_list.__name__ = f"comma-separated {parse.__name__}"   # argparse's error names it
+    return parse_list
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -354,8 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="offset/bit grid of simulated countermeasures")
     _add_sim_arguments(p_sweep, _SWEEP_PARAMS)
-    p_sweep.add_argument("--offsets", required=True, help="comma-separated offsets")
-    p_sweep.add_argument("--bits", required=True, help="comma-separated bit indices")
+    p_sweep.add_argument("--offsets", required=True, type=_list_of(float),
+                         help="comma-separated offsets")
+    p_sweep.add_argument("--bits", required=True, type=_list_of(int),
+                         help="comma-separated bit indices")
     p_sweep.add_argument("--byte", type=int, default=0, help="state byte index to attack")
     p_sweep.add_argument("--stride", type=int, default=100)
     p_sweep.add_argument("-o", "--output", help="table CSV (default stdout)")

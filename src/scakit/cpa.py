@@ -166,18 +166,21 @@ def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=100):
     the traces-to-disclosure count.  A set on which every guess scores 0
     (fewer than 2 traces, or samples that do not vary) raises ValueError.
     """
-    if len(traces) == 0:
-        raise ValueError("cannot attack an empty trace set")
     checkpoints = checkpoint_schedule(len(traces), checkpoint_stride)
-    return _cpa_attack(traces, byte_index, checkpoints)[:2]
+    return _cpa_attack(traces, byte_index, checkpoints,
+                       _hypotheses(traces.ciphertexts, byte_index, checkpoints))
 
 
-def _checkpoint_x_sums(hyp, checkpoints):
-    """``sum_x`` and ``sum_xx`` of the (n, 256) hypothesis matrix at every
-    checkpoint, each an (n_checkpoints, 256) array.  The values are small
-    integers, so these float64 sums are exact, and campaigns that share
-    ciphertexts share them."""
-    sum_x = np.empty((len(checkpoints), hyp.shape[1]))
+def _hypotheses(ciphertexts, byte_index, checkpoints):
+    """The attack's set-up: the (n, 256) hypothesis matrix of
+    ``ciphertexts`` and its ``sum_x`` and ``sum_xx`` at every checkpoint,
+    each an (n_checkpoints, 256) array.  The values are small integers,
+    so these float64 sums are exact, and campaigns that share
+    ciphertexts share the whole set-up."""
+    if len(ciphertexts) == 0:
+        raise ValueError("cannot attack an empty trace set")
+    hyp = aes.hypothesis_matrix(ciphertexts, byte_index)
+    sum_x = np.empty((len(checkpoints), 256))
     sum_xx = np.empty_like(sum_x)
     start = 0
     for i, count in enumerate(checkpoints):
@@ -185,7 +188,7 @@ def _checkpoint_x_sums(hyp, checkpoints):
         sum_x[i] = x.sum(axis=0)
         sum_xx[i] = (x * x).sum(axis=0)
         start = count
-    return np.cumsum(sum_x, axis=0), np.cumsum(sum_xx, axis=0)
+    return hyp, np.cumsum(sum_x, axis=0), np.cumsum(sum_xx, axis=0)
 
 
 # Upper bound on the (checkpoints, 256, samples) elements whose r is
@@ -193,18 +196,13 @@ def _checkpoint_x_sums(hyp, checkpoints):
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _cpa_attack(traces, byte_index, checkpoints, hypotheses=None):
-    """:func:`cpa_attack` at ``checkpoints``, returning also its set-up
-    ``hypotheses``: the traces' (n, 256) hypothesis matrix and its
-    :func:`_checkpoint_x_sums`, built here unless an earlier call on the
-    same ciphertexts and checkpoints gave them.
+def _cpa_attack(traces, byte_index, checkpoints, hypotheses):
+    """:func:`cpa_attack` at ``checkpoints``, given the :func:`_hypotheses`
+    set-up of the traces' ciphertexts at the same checkpoints.
 
     The sample-side sums are folded in segment by segment through
     :class:`CorrelationAccumulator`; r is then computed for a block of
     checkpoints at a time, bit for bit as ``correlations`` would at each."""
-    if hypotheses is None:
-        hyp = aes.hypothesis_matrix(traces.ciphertexts, byte_index)
-        hypotheses = (hyp, *_checkpoint_x_sums(hyp, checkpoints))
     hyp, sum_x, sum_xx = hypotheses
     n_samples = traces.samples_per_trace
     block = max(1, _BLOCK_ELEMENTS // (256 * n_samples))
@@ -241,7 +239,7 @@ def _cpa_attack(traces, byte_index, checkpoints, hypotheses=None):
     result = AttackResult(byte_index=byte_index, best_guess=int(ranking[0]),
                           ranking=ranking, scores=scores, disclosure=disclosure,
                           correct_guess=correct)
-    return result, evolution, hypotheses
+    return result, evolution
 
 
 def traces_to_disclosure(evolution: CorrelationEvolution, correct_guess) -> int | None:

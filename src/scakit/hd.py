@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aes
-from .cpa import pearson
+from .cpa import _cpa_attack, _hypotheses, checkpoint_schedule, pearson
 from .traces import TraceSet
 
 
@@ -127,6 +127,29 @@ def wrong_horse_scan(traces: TraceSet, byte_index, correct_guess, sample_index=0
     aes._check_guess(correct_guess)
     y = _sample(traces, sample_index)
     return _wrong_horses(_pair_classes(traces.ciphertexts, byte_index), y, correct_guess)
+
+
+def attack_offset_grid(trace_sets, byte_index, correct_guess, checkpoint_stride=100,
+                       sample_index=0):
+    """Yield ``(AttackResult, wrong_horses)`` per trace set, as
+    :func:`~scakit.cpa.cpa_attack` and :func:`wrong_horse_scan` give them.
+
+    The sets share their ciphertexts, as ``simulate_offset_grid``'s do, so
+    the CPA set-up and the pair classes are built once, from the first;
+    a later set with other ciphertexts raises ValueError.
+    """
+    aes._check_guess(correct_guess)
+    ciphertexts = None
+    for traces in trace_sets:
+        if ciphertexts is None:
+            ciphertexts = traces.ciphertexts
+            checkpoints = checkpoint_schedule(len(traces), checkpoint_stride)
+            hypotheses = _hypotheses(ciphertexts, byte_index, checkpoints)
+            pairs = _pair_classes(ciphertexts, byte_index)
+        elif not np.array_equal(traces.ciphertexts, ciphertexts):
+            raise ValueError("the trace sets of an offset grid must share their ciphertexts")
+        result, _ = _cpa_attack(traces, byte_index, checkpoints, hypotheses)
+        yield result, _wrong_horses(pairs, _sample(traces, sample_index), correct_guess)
 
 
 @dataclass

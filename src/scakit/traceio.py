@@ -160,6 +160,9 @@ def import_raw(samples_path, meta_path, samples_per_trace=None) -> TraceSet:
     and the CSV row count.  Any inconsistency is an error, never a silent
     truncation.  Rows are counted from 1 (the header line is row 0).
     """
+    if samples_per_trace is not None and samples_per_trace < 1:
+        raise TraceImportError(f"samples_per_trace must be >= 1, got {samples_per_trace}: "
+                               "traces cannot have zero samples or fewer")
     with open(meta_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:

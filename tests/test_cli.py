@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import hashlib
@@ -105,12 +106,16 @@ def test_config_file_reports_bad_value_with_its_line(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--offsets", "0", "--bits", "2"]],
                          ids=["simulate", "sweep"])
 @pytest.mark.parametrize("text,message", [
-    ("n = 5\nn = 7\n", "2: duplicate config key 'n' (first set on line 1)"),
-    ("sigma = 1.0\nn 5\n", "2: expected 'key = value', got 'n 5'"),
-], ids=["duplicate-key", "no-equals"])
+    (b"n = 5\nn = 7\n", "2: duplicate config key 'n' (first set on line 1)"),
+    (b"sigma = 1.0\nn 5\n", "2: expected 'key = value', got 'n 5'"),
+    # the byte-order mark is not part of the first key
+    (b"\xef\xbb\xbfn = 5\nn = 7\n", "2: duplicate config key 'n' (first set on line 1)"),
+    (b"n = 5\n\xff\n", "2: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+                        "invalid start byte"),
+], ids=["duplicate-key", "no-equals", "byte-order-mark", "not-utf8"])
 def test_config_file_line_errors(tmp_path, capsys, command, text, message):
     cfg, out = tmp_path / "c.cfg", tmp_path / "x.out"
-    cfg.write_text(text)
+    cfg.write_bytes(text)
     assert run(*command, "--config", cfg, "-o", out) == 1
     assert assert_json_error(capsys, out) == f"{cfg}:{message}"
 
@@ -140,11 +145,32 @@ def assert_json_error(capsys, *unwritten):
     ["simulate", "--n", "4", "--out", "x.sctr"],
     ["sweep", "--n", "500", "--offset", "4", "--offsets", "0", "--bits", "2", "-o", "x.sctr"],
     ["sweep", "--n", "500", "--offsets", "0", "--bit", "2", "-o", "x.sctr"],
+    ["sweep", "--n", "500", "--offsets", "", "--bits", "2", "-o", "x.sctr"],
+    ["sweep", "--n", "500", "--offsets", "0", "--bits", "2,,5", "-o", "x.sctr"],
 ])
 def test_usage_errors_are_json(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert run(*argv) == 1
     assert_json_error(capsys, tmp_path / "x.sctr")
+
+
+@pytest.mark.parametrize("flag,value,kind", [("--offsets", "", "float"),
+                                             ("--bits", "2,,5", "int")])
+def test_sweep_grid_errors_name_their_flag(tmp_path, capsys, flag, value, kind):
+    grid = {"--offsets": "0", "--bits": "2", flag: value}
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--n", 500, *(x for item in grid.items() for x in item), "-o", out) == 1
+    assert assert_json_error(capsys, out) == (
+        f"scakit sweep: argument {flag}: invalid comma-separated {kind} value: {value!r}")
+
+
+def test_cli_imports_no_private_names():
+    # The CLI drives the library through its public API only.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names
+               if alias.name.startswith("_")]
+    assert private == []
 
 
 @pytest.mark.parametrize("param,value", [

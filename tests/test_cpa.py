@@ -4,6 +4,7 @@ import pytest
 from scakit import aes
 from scakit.cpa import (
     _cpa_attack,
+    _hypotheses,
     AttackResult,
     CorrelationAccumulator,
     CorrelationEvolution,
@@ -229,7 +230,8 @@ def test_campaigns_sharing_ciphertexts_share_x_sums():
     checkpoints = checkpoint_schedule(2501, 100)
     hypotheses = None
     for traces in simulate_offset_grid(KEY, 2501, config, 8, augmentations):
-        _, evolution, hypotheses = _cpa_attack(traces, 0, checkpoints, hypotheses)
+        hypotheses = hypotheses or _hypotheses(traces.ciphertexts, 0, checkpoints)
+        _, evolution = _cpa_attack(traces, 0, checkpoints, hypotheses)
         expected = accumulator_evolution(traces, 0, checkpoints)
         assert evolution.values.tobytes() == expected.tobytes()
 

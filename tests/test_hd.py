@@ -4,15 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scakit import aes, hd
+from scakit.cpa import cpa_attack
 from scakit.hd import (
     HdClassSummary,
+    attack_offset_grid,
     fit_for_guess,
     fit_hd_line,
     group_by_hd,
     sign_flip_report,
     wrong_horse_scan,
 )
-from scakit.leakage import Augmentation, LeakageConfig, Trigger, simulate_campaign
+from scakit.leakage import (Augmentation, LeakageConfig, Trigger, simulate_campaign,
+                            simulate_offset_grid)
 from scakit.traces import TraceSet
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"
@@ -213,3 +216,35 @@ def test_argument_validation():
         wrong_horse_scan(ts, 0, 300)
     with pytest.raises(ValueError):
         wrong_horse_scan(ts, 0, 0, sample_index=1)
+    empty = TraceSet(np.zeros((0, 1)), np.zeros((0, 16)), np.zeros((0, 16)))
+    with pytest.raises(ValueError, match="empty trace set"):
+        next(attack_offset_grid([empty], 0, 0))
+
+
+def test_attack_offset_grid_equals_per_set_calls():
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=2, poi_index=1)
+    augmentations = [None, Augmentation(5, 2, 6.0), Augmentation(5, 6, 3.0, Trigger.ON_TOGGLE)]
+    correct = aes.correct_last_round_guess(KEY, 5)
+    grid = list(simulate_offset_grid(KEY, 3001, config, 4, augmentations))
+    attacks = list(attack_offset_grid(grid, 5, correct, 250, sample_index=1))
+    assert len(attacks) == len(grid)
+    for traces, (result, horses) in zip(grid, attacks):
+        expected, _ = cpa_attack(traces, 5, 250)
+        assert result.scores.tobytes() == expected.scores.tobytes()
+        assert np.array_equal(result.ranking, expected.ranking)
+        assert (result.disclosure, result.correct_rank) == (expected.disclosure,
+                                                            expected.correct_rank)
+        assert horses == wrong_horse_scan(traces, 5, correct, sample_index=1)
+    # the unaugmented point discloses, so the comparison is not vacuous
+    assert attacks[0][0].disclosure is not None
+
+
+def test_attack_offset_grid_rejects_sets_with_other_ciphertexts():
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=1.0)
+    first = simulate_campaign(KEY, 500, config, seed=1)
+    for other in (simulate_campaign(KEY, 500, config, seed=2),    # other plaintexts
+                  simulate_campaign(KEY, 400, config, seed=1)):   # fewer traces
+        attacks = attack_offset_grid([first, other], 0, CORRECT_BYTE0)
+        next(attacks)
+        with pytest.raises(ValueError, match="must share their ciphertexts"):
+            next(attacks)

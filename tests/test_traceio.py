@@ -163,6 +163,10 @@ def test_import_raw_row_count_mismatch(tmp_path):
     with pytest.raises(TraceImportError, match="row-count mismatch: .* has 3 rows but "
                                                ".* holds 4 samples"):
         import_raw(raw, meta)
+    # a trace length below 1 is blamed on itself, not on the files
+    for spt in (-1, 0):
+        with pytest.raises(TraceImportError, match=f"samples_per_trace must be >= 1, got {spt}:"):
+            import_raw(raw, meta, samples_per_trace=spt)
 
 
 def test_import_raw_rejects_bad_hex(tmp_path):
