@@ -15,7 +15,8 @@ convert    raw float32 dump + metadata CSV -> SCTR
 
 Every command is deterministic given its arguments; campaign randomness
 comes only from ``--seed``.  Errors are written to stderr as a single
-JSON object and the exit code is nonzero.
+JSON object and the exit code is nonzero.  README.md defines the JSON
+attack report.
 
 Config file
 -----------
@@ -29,19 +30,6 @@ other key is an error.  Long flags must be spelled out in full.
 simulate also rejects, from either source, alpha or pulse without n_ro,
 and augment_byte, augment_bit or trigger without an offset or n_ro,
 since it would ignore them.
-
-JSON attack report (schema_version 1)
--------------------------------------
-Single-byte mode: source, n_traces, samples_per_trace, byte_index,
-checkpoint_stride, target_key_position (the round-10 key position the
-best guess refers to), best_guess, best_score, ranking (all 256 guesses
-best first), scores (indexed by guess), correct_guess / correct_rank /
-disclosure (null unless the file records its true key), evolution
-{checkpoints, curves[guess][checkpoint]}.
-
-With ``--all-bytes``: per-byte summaries plus the assembled round-10 key
-in wire order and the cipher key obtained by inverting the key schedule
-(both reported, in their own coordinates); evolution curves are omitted.
 """
 
 import argparse
@@ -151,10 +139,6 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _fmt(value):
-    return format(value, ".17g")
-
-
 def _reject_unused(given, names, needs):
     unused = [name for name in names if name in given]
     if unused:
@@ -234,25 +218,24 @@ def cmd_attack(args) -> int:
         report.update(entry)
         report["ranking"] = result.ranking.tolist()
         report["scores"] = result.scores.tolist()
-        report["evolution"] = {
-            "checkpoints": evolution.checkpoints.tolist(),
-            "curves": evolution.values.tolist(),
-        }
-        if args.evolution_csv:
-            _write_csv(args.evolution_csv, ["checkpoint", "guess", "r"],
-                       ([int(count), guess, _fmt(evolution.values[guess, i])]
-                        for i, count in enumerate(evolution.checkpoints)
-                        for guess in range(256)))
+        checkpoints, curves = evolution.checkpoints.tolist(), evolution.values.tolist()
+        report["evolution"] = {"checkpoints": checkpoints, "curves": curves}
+        if args.evolution_csv:   # the bytes _write_csv would give, without its per-cell work
+            with open(args.evolution_csv, "w", newline="") as fh:
+                fh.write("checkpoint,guess,r\r\n")
+                for count, row in zip(checkpoints, zip(*curves)):
+                    fh.writelines(f"{count},{guess},{r:.17g}\r\n" for guess, r in enumerate(row))
 
-    text = json.dumps(report, indent=2)
     if args.report:
         with open(args.report, "w") as fh:
-            fh.write(text + "\n")
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
         brief = {k: report[k] for k in report
                  if k not in ("ranking", "scores", "evolution", "bytes")}
         print(json.dumps(brief))
     else:
-        print(text)
+        json.dump(report, sys.stdout, indent=2)
+        print()
     return 0
 
 
@@ -268,11 +251,11 @@ def cmd_fit_hd(args) -> int:
 
     if args.points:
         _write_csv(args.points, ["guess", "hd", "mean", "count"],
-                   ([s.key_guess, int(hd), _fmt(s.means[hd]), int(s.counts[hd])]
+                   ([s.key_guess, int(hd), f"{s.means[hd]:.17g}", int(s.counts[hd])]
                     for s in summaries for hd in np.nonzero(s.present)[0]))
     if args.fits:
         _write_csv(args.fits, ["guess", "slope", "intercept", "r"],
-                   ([guess, _fmt(fit.slope), _fmt(fit.intercept), _fmt(fit.r)]
+                   ([guess, f"{fit.slope:.17g}", f"{fit.intercept:.17g}", f"{fit.r:.17g}"]
                     for guess, fit in zip(guesses, fits)))
     for guess, fit in zip(guesses, fits):
         print(f"guess {guess:3d}: slope {fit.slope:+.6g} intercept {fit.intercept:+.6g} "
@@ -293,7 +276,7 @@ def cmd_sweep(args) -> int:
 
     grid = simulate_offset_grid(params["key"], params["n"], config, params["seed"], augmentations)
     attacks = attack_offset_grid(grid, args.byte, correct, args.stride, config.poi_index)
-    rows = [[bit, _fmt(offset), "" if result.disclosure is None else result.disclosure,
+    rows = [[bit, f"{offset:.17g}", "" if result.disclosure is None else result.disclosure,
              len(horses)]
             for (bit, offset), (result, horses) in zip(points, attacks)]
     _write_csv(args.output, ["bit", "offset", "disclosure", "wrong_horse_count"], rows)

@@ -66,13 +66,14 @@ class CorrelationAccumulator:
         self.sum_xx += (x * x).sum(axis=0)
         self._add_samples(x, y)
 
-    def _add_samples(self, x, y):
+    def _add_samples(self, x, y, yy=None, xy=None):
         """Fold in the sample side of a float64 batch: its count, the y
-        sums and ``x.T @ y``, leaving the x sums to the caller."""
+        sums and ``x.T @ y``, leaving the x sums to the caller.  ``yy``
+        and ``xy``, if given, receive ``y * y`` and ``x.T @ y``."""
         self.n += len(x)
         self.sum_y += y.sum(axis=0)
-        self.sum_yy += (y * y).sum(axis=0)
-        self.sum_xy += x.T @ y
+        self.sum_yy += np.multiply(y, y, out=yy).sum(axis=0)
+        self.sum_xy += np.matmul(x.T, y, out=xy)
 
     def merge(self, other) -> "CorrelationAccumulator":
         """Absorb another accumulator built over disjoint traces."""
@@ -93,17 +94,25 @@ class CorrelationAccumulator:
                              self.sum_yy, self.sum_xy)
 
 
-def _correlations(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy):
+def _correlations(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out=None, scratch=None):
     """Signed Pearson r from raw sums, batched over leading axes: ``n``
     has the batch shape, ``sum_x``/``sum_xx`` add a guess axis,
     ``sum_y``/``sum_yy`` a sample axis and ``sum_xy`` both.  Every step
-    is elementwise, so a batch gives the same bits as one call per item."""
+    is elementwise, so a batch gives the same bits as one call per item.
+    ``out`` and ``scratch``, if given, are ``sum_xy``-shaped buffers."""
     n = n[..., None]
-    cov = sum_xy - sum_x[..., :, None] * sum_y[..., None, :] / n[..., None]
+    cov = np.multiply(sum_x[..., :, None], sum_y[..., None, :], out=out)
+    np.divide(cov, n[..., None], out=cov)
+    np.subtract(sum_xy, cov, out=cov)
     var_x = np.maximum(sum_xx - sum_x ** 2 / n, 0.0)
     var_y = np.maximum(sum_yy - sum_y ** 2 / n, 0.0)
-    denom = np.sqrt(var_x[..., :, None] * var_y[..., None, :])
-    return np.divide(cov, denom, out=np.zeros_like(cov), where=denom > 0)
+    denom = np.multiply(var_x[..., :, None], var_y[..., None, :], out=scratch)
+    np.sqrt(denom, out=denom)
+    if not denom.all():   # zero variance on either side gives r = 0
+        zero = denom == 0
+        cov[zero] = 0.0
+        denom[zero] = 1.0
+    return np.divide(cov, denom, out=cov)
 
 
 @dataclass
@@ -202,29 +211,36 @@ def _cpa_attack(traces, byte_index, checkpoints, hypotheses):
 
     The sample-side sums are folded in segment by segment through
     :class:`CorrelationAccumulator`; r is then computed for a block of
-    checkpoints at a time, bit for bit as ``correlations`` would at each."""
+    checkpoints at a time, bit for bit as ``correlations`` would at each.
+    Every wide array is allocated once and reused at each checkpoint."""
     hyp, sum_x, sum_xx = hypotheses
     n_samples = traces.samples_per_trace
-    block = max(1, _BLOCK_ELEMENTS // (256 * n_samples))
+    block = min(len(checkpoints), max(1, _BLOCK_ELEMENTS // (256 * n_samples)))
     acc = CorrelationAccumulator(256, n_samples)
-    sum_y = np.empty((block, n_samples))
-    sum_yy = np.empty_like(sum_y)
-    sum_xy = np.empty((block, 256, n_samples))
+    if block == 1:   # r at every checkpoint, straight from the running sums
+        sum_y, sum_yy, sum_xy = acc.sum_y[None], acc.sum_yy[None], acc.sum_xy[None]
+    else:
+        sum_y, sum_yy = np.empty((2, block, n_samples))
+        sum_xy = np.empty((block, 256, n_samples))
+    longest = int(np.diff(checkpoints, prepend=0).max())
+    x, (y, yy) = np.empty((longest, 256)), np.empty((2, longest, n_samples))
+    r, scratch = np.empty((2, block, 256, n_samples))
     counts = np.asarray(checkpoints, dtype=np.float64)
     values = np.empty((256, len(checkpoints)))
-    start = 0
-    for i, count in enumerate(checkpoints):
-        acc._add_samples(np.asarray(hyp[start:count], dtype=np.float64),
-                         np.asarray(traces.samples[start:count], dtype=np.float64))
-        start = count
-        j = i % block
-        sum_y[j], sum_yy[j], sum_xy[j] = acc.sum_y, acc.sum_yy, acc.sum_xy
-        if j == block - 1 or i == len(checkpoints) - 1:
-            first = i - j
-            r = _correlations(counts[first:i + 1], sum_x[first:i + 1], sum_xx[first:i + 1],
-                              sum_y[:j + 1], sum_yy[:j + 1], sum_xy[:j + 1])
-            best_sample = np.abs(r).argmax(axis=2)[..., None]
-            values[:, first:i + 1] = np.take_along_axis(r, best_sample, axis=2)[..., 0].T
+    for i, (start, count) in enumerate(zip([0, *checkpoints], checkpoints)):
+        m = count - start
+        x[:m] = hyp[start:count]
+        y[:m] = traces.samples[start:count]
+        acc._add_samples(x[:m], y[:m], yy[:m], scratch[0])   # scratch is free here
+        k = i % block + 1   # checkpoints of the current block so far
+        if block > 1:
+            sum_y[k - 1], sum_yy[k - 1], sum_xy[k - 1] = acc.sum_y, acc.sum_yy, acc.sum_xy
+        if k == block or i == len(checkpoints) - 1:
+            first = i + 1 - k
+            _correlations(counts[first:i + 1], sum_x[first:i + 1], sum_xx[first:i + 1],
+                          sum_y[:k], sum_yy[:k], sum_xy[:k], r[:k], scratch[:k])
+            best_sample = np.abs(r[:k], out=scratch[:k]).argmax(axis=2)[..., None]
+            values[:, first:i + 1] = np.take_along_axis(r[:k], best_sample, axis=2)[..., 0].T
     evolution = CorrelationEvolution(np.array(checkpoints), values)
 
     scores = np.abs(values[:, -1])
@@ -250,12 +266,8 @@ def traces_to_disclosure(evolution: CorrelationEvolution, correct_guess) -> int 
     abs_r = np.abs(evolution.values)
     rivals = np.delete(abs_r, correct_guess, axis=0).max(axis=0)
     leads = abs_r[correct_guess] > rivals
-    if not leads[-1]:
-        return None
-    first = len(leads) - 1
-    while first > 0 and leads[first - 1]:
-        first -= 1
-    return int(evolution.checkpoints[first])
+    first = np.flatnonzero(~leads).max(initial=-1) + 1   # just after its last lost checkpoint
+    return int(evolution.checkpoints[first]) if first < len(leads) else None
 
 
 def rank_of_guess(result: AttackResult, guess) -> int:

@@ -310,6 +310,13 @@ def test_attack_report_and_evolution_csv(noisy_sctr, tmp_path, capsys):
     for row in rows[:512]:
         guess, i = int(row["guess"]), checkpoints.index(int(row["checkpoint"]))
         assert float(row["r"]) == report["evolution"]["curves"][guess][i]
+    # and holds the very bytes csv.writer gives for the same rows
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["checkpoint", "guess", "r"])
+    writer.writerows([count, guess, format(report["evolution"]["curves"][guess][i], ".17g")]
+                     for i, count in enumerate(checkpoints) for guess in range(256))
+    assert evo_path.read_bytes() == expected.getvalue().encode()
 
 
 def test_attack_is_deterministic(noisy_sctr, tmp_path):
@@ -520,7 +527,8 @@ def test_convert_mismatch_fails(tmp_path, capsys):
 
 # SHA-256 of every output of a few small runs, recorded at commit 7776160
 # with numpy 2.4.6; sweep5.csv recorded at commit 4465a48; the fit-hd
-# CSVs and the stdout.txt that includes their lines at commit 0a36760.
+# CSVs and the stdout.txt that includes their lines at commit 0a36760;
+# the wide (S=300) attack's files at commit 20ecf9a.
 # The same flags must give the same bytes, so a faster kernel has to
 # reproduce these exactly.
 RECORDED_DIGESTS = {
@@ -539,6 +547,9 @@ RECORDED_DIGESTS = {
     "stdout.txt": "b11f55a3842e28e58b171a7468cf88fb0ea2682a4bb29f8f5a400d88a337e51d",
     "sweep.csv": "0e5664c31ef42219823d40de90ac57191bfef4e458d5292da94787127bdb0867",
     "sweep5.csv": "a88f2019213e499b31b67ac3e19b4b53b8b51928a384659938952cd863941e5c",
+    "wide.json": "3620d092b4e6703513a4ef17e0bd80299dc96fedbd92266dbb4453341e9bc4f4",
+    "wide.sctr": "4e291ab88281b1f9ecc58025a8fcb98f48b253ed77e16c223287e94803498335",
+    "wide_evolution.csv": "269470673502e8cce39def38cd214e5bb7be9eaec92f8d0ff71d84ed92da8964",
 }
 
 
@@ -566,6 +577,11 @@ def test_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys):
                "--augment-byte", 5, "--trigger", "toggle", "--samples", 4, "--poi", 2,
                "--offsets", "0,4.5,8", "--bits", "2,5", "-o", "sweep5.csv") == 0
     (tmp_path / "stdout.txt").write_text(capsys.readouterr().out)
+    # S=300 gives one checkpoint per r batch; 1500 traces end on a shorter segment
+    assert run("simulate", *noise, "--n", 1500, "--samples", 300, "--poi", 150,
+               "--seed", 4, "-o", "wide.sctr") == 0
+    assert run("attack", "wide.sctr", "--byte", 0, "--stride", 140, "--report", "wide.json",
+               "--evolution-csv", "wide_evolution.csv") == 0
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(tmp_path.iterdir())}
     assert digests == RECORDED_DIGESTS

@@ -110,6 +110,10 @@ def test_accumulator_zero_variance_convention():
     acc.update(np.array([[1.0, 4.0], [1.0, 5.0], [1.0, 6.0]]), np.zeros((3, 1)))
     r = acc.correlations()
     assert r[0, 0] == 0.0 and r[1, 0] == 0.0
+    # constant samples whose sums round: their covariance residue stays out of r
+    acc = CorrelationAccumulator(1, 1)
+    acc.update(np.array([[1.0], [2.0], [4.0]]), np.full((3, 1), 0.1))
+    assert acc.correlations()[0, 0] == 0.0
 
 
 def test_checkpoint_schedule():
@@ -142,6 +146,9 @@ def test_traces_to_disclosure_stabilizes_late():
     # a tie is not a strict lead
     evo = _evolution([1000, 2000], [0.1, 0.1], 0.1)
     assert traces_to_disclosure(evo, 51) is None
+    # a lead lost again does not count
+    evo = _evolution([1000, 2000, 3000, 4000], [0.9, 0.05, 0.9, 0.9], 0.1)
+    assert traces_to_disclosure(evo, 51) == 3000
 
 
 def test_evolution_validation():
@@ -209,15 +216,21 @@ def accumulator_evolution(traces, byte_index, checkpoints):
     return np.array(values).T
 
 
-# (n, samples per trace, stride): S=1 over more checkpoints than one
-# batch holds, S=8, n not a multiple of the stride, a stride past n.
-EVOLUTION_CASES = [(3001, 1, 10), (2000, 1, 100), (9001, 8, 250), (700, 8, 1000), (5, 1, 1)]
+# (n, samples per trace, stride, noise, baseline): S=1 over more
+# checkpoints than one batch holds, S=8, n not a multiple of the stride,
+# a stride past n, S=300 (one checkpoint per batch) with a shorter last
+# segment, and noiseless samples whose columns off the leaking one hold
+# the baseline, so their r is 0 by the zero-variance convention.
+EVOLUTION_CASES = [(3001, 1, 10, 4.0, 0.0), (2000, 1, 100, 4.0, 0.0), (9001, 8, 250, 4.0, 0.0),
+                   (700, 8, 1000, 4.0, 0.0), (5, 1, 1, 4.0, 0.0), (2050, 300, 100, 4.0, 0.0),
+                   (1201, 6, 100, 0.0, 0.7)]
 
 
-@pytest.mark.parametrize("n,samples,stride", EVOLUTION_CASES)
-def test_batched_evolution_equals_accumulator_loop(n, samples, stride):
-    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=samples,
-                                         poi_index=samples // 2)
+@pytest.mark.parametrize("n,samples,stride,sigma,baseline", EVOLUTION_CASES,
+                         ids=["-".join(map(str, case[:3])) for case in EVOLUTION_CASES])
+def test_batched_evolution_equals_accumulator_loop(n, samples, stride, sigma, baseline):
+    config = LeakageConfig.equal_weights(1.0, baseline=baseline, noise_sigma=sigma,
+                                         samples_per_trace=samples, poi_index=samples // 2)
     ts = simulate_campaign(KEY, n, config, seed=n)
     _, evolution = cpa_attack(ts, 5, stride)
     expected = accumulator_evolution(ts, 5, checkpoint_schedule(n, stride))

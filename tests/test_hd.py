@@ -28,6 +28,16 @@ def test_group_counts_sum_to_n_traces():
     assert summary.counts.sum() == 777
 
 
+@pytest.mark.parametrize("byte_index,guess", [(0, 17), (5, 200)])
+def test_group_by_hd_classes_are_a_hypothesis_matrix_column(byte_index, guess):
+    ts = simulate_campaign(KEY, 1500, LeakageConfig.equal_weights(1.0, noise_sigma=1.0), seed=4)
+    column = aes.hypothesis_matrix(ts.ciphertexts, byte_index)[:, guess]
+    expected = hd._class_summary(column, ts.samples[:, 0].astype(np.float64), guess)
+    summary = group_by_hd(ts, guess, byte_index)
+    assert np.array_equal(summary.counts, expected.counts)
+    assert np.array_equal(summary.means, expected.means, equal_nan=True)
+
+
 def test_identical_ciphertexts_form_single_class():
     ct = aes.as_block("00112233445566778899aabbccddeeff")
     ts = TraceSet(np.ones((40, 1), np.float32),
