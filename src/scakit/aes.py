@@ -211,22 +211,26 @@ def hypothetical_power(ct, key_guess, byte_index) -> int:
     return hamming_weight(last_round_transitions(ct, key_guess, byte_index))
 
 
-def hypothesis_matrix(ciphertexts, byte_index) -> np.ndarray:
+def hypothesis_matrix(ciphertexts, byte_index, guesses=None) -> np.ndarray:
     """Model values for all 256 key guesses at once.
 
     Returns an (n_traces, 256) uint8 array where column ``k`` holds
-    :func:`hypothetical_power` under guess ``k``.
+    :func:`hypothetical_power` under guess ``k``; given a sequence of
+    ``guesses``, only their columns, in that order.
     """
     _check_byte_index(byte_index)
     cts = _as_batch(ciphertexts)
-    return _model_values(cts[:, SR_FORWARD[byte_index]], cts[:, byte_index], guess_axis=1)
+    return _model_values(cts[:, SR_FORWARD[byte_index]], cts[:, byte_index],
+                         guess_axis=1, guesses=guesses)
 
 
-def _model_values(prior_bytes, new_bytes, guess_axis):
+def _model_values(prior_bytes, new_bytes, guess_axis, guesses=None):
     """HD of each (ciphertext byte at the post-ShiftRows position, byte
-    written) pair under every guess, the guesses along ``guess_axis``:
-    PRIOR's rows or, as it is symmetric, its columns give the prior state."""
-    hyp = PRIOR.take(prior_bytes, axis=1 - guess_axis)
+    written) pair under every guess, or under ``guesses`` only, the
+    guesses along ``guess_axis``: PRIOR's rows or, as it is symmetric,
+    its columns give the prior state."""
+    table = PRIOR if guesses is None else PRIOR.take(guesses, axis=guess_axis)
+    hyp = table.take(prior_bytes, axis=1 - guess_axis)
     hyp ^= np.expand_dims(new_bytes, guess_axis)
     return np.bitwise_count(hyp, out=hyp)
 

@@ -108,10 +108,9 @@ def _correlations(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out=None, scratch=Non
     var_y = np.maximum(sum_yy - sum_y ** 2 / n, 0.0)
     denom = np.multiply(var_x[..., :, None], var_y[..., None, :], out=scratch)
     np.sqrt(denom, out=denom)
-    if not denom.all():   # zero variance on either side gives r = 0
-        zero = denom == 0
-        cov[zero] = 0.0
-        denom[zero] = 1.0
+    zero = denom == 0   # zero variance on either side gives r = 0
+    cov[zero] = 0.0
+    denom[zero] = 1.0
     return np.divide(cov, denom, out=cov)
 
 

@@ -80,11 +80,8 @@ def group_by_hd(traces: TraceSet, key_guess, byte_index, sample_index=0) -> HdCl
     """Assign every trace to the HD class its model value predicts and
     summarize the chosen sample per class."""
     aes._check_guess(key_guess)
-    aes._check_byte_index(byte_index)
     y = _sample(traces, sample_index)
-    cts = traces.ciphertexts   # one column of aes.hypothesis_matrix
-    classes = np.bitwise_count(aes.PRIOR[cts[:, aes.SR_FORWARD[byte_index]], key_guess]
-                               ^ cts[:, byte_index])
+    classes = aes.hypothesis_matrix(traces.ciphertexts, byte_index, [key_guess])[:, 0]
     return _class_summary(classes, y, key_guess)
 
 

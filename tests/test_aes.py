@@ -140,6 +140,7 @@ def test_hypothesis_matrix_matches_scalar():
         assert hyp.dtype == np.uint8 and hyp.shape == (5, 256) and hyp.flags.c_contiguous
         expected = [[aes.hypothetical_power(ct, guess, j) for guess in range(256)] for ct in cts]
         assert np.array_equal(hyp, expected)
+        assert np.array_equal(aes.hypothesis_matrix(cts, j, [200, 3, 17]), hyp[:, [200, 3, 17]])
     assert np.array_equal(cts, before)
     for j in (-1, 16):
         with pytest.raises(ValueError):
