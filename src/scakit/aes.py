@@ -219,6 +219,8 @@ def hypothesis_matrix(ciphertexts, byte_index, guesses=None) -> np.ndarray:
     ``guesses``, only their columns, in that order.
     """
     _check_byte_index(byte_index)
+    for guess in guesses if guesses is not None else ():
+        _check_guess(guess)
     cts = _as_batch(ciphertexts)
     return _model_values(cts[:, SR_FORWARD[byte_index]], cts[:, byte_index],
                          guess_axis=1, guesses=guesses)

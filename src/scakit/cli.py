@@ -35,7 +35,6 @@ since it would ignore them.
 import argparse
 import codecs
 import contextlib
-import csv
 import json
 import sys
 
@@ -131,12 +130,12 @@ def _build_leakage_config(params, augmentation):
     )
 
 
-def _write_csv(path, header, rows):
-    """Write ``header`` and ``rows`` as CSV to ``path``, or to stdout without one."""
+def _write_csv(path, header, lines):
+    """Write the CSV line ``header``, then ``lines``, each ended by CRLF, to
+    ``path``, or to stdout without one; fields are numbers or empty, unquoted."""
     with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(f"{header}\r\n")
+        fh.writelines(f"{line}\r\n" for line in lines)
 
 
 def _reject_unused(given, names, needs):
@@ -220,11 +219,10 @@ def cmd_attack(args) -> int:
         report["scores"] = result.scores.tolist()
         checkpoints, curves = evolution.checkpoints.tolist(), evolution.values.tolist()
         report["evolution"] = {"checkpoints": checkpoints, "curves": curves}
-        if args.evolution_csv:   # the bytes _write_csv would give, without its per-cell work
-            with open(args.evolution_csv, "w", newline="") as fh:
-                fh.write("checkpoint,guess,r\r\n")
-                for count, row in zip(checkpoints, zip(*curves)):
-                    fh.writelines(f"{count},{guess},{r:.17g}\r\n" for guess, r in enumerate(row))
+        if args.evolution_csv:
+            _write_csv(args.evolution_csv, "checkpoint,guess,r",
+                       (f"{count},{guess},{r:.17g}" for count, row in zip(checkpoints, zip(*curves))
+                        for guess, r in enumerate(row)))
 
     if args.report:
         with open(args.report, "w") as fh:
@@ -250,12 +248,12 @@ def cmd_fit_hd(args) -> int:
     fits = [fit_hd_line(s) for s in summaries]
 
     if args.points:
-        _write_csv(args.points, ["guess", "hd", "mean", "count"],
-                   ([s.key_guess, int(hd), f"{s.means[hd]:.17g}", int(s.counts[hd])]
+        _write_csv(args.points, "guess,hd,mean,count",
+                   (f"{s.key_guess},{hd},{s.means[hd]:.17g},{s.counts[hd]}"
                     for s in summaries for hd in np.nonzero(s.present)[0]))
     if args.fits:
-        _write_csv(args.fits, ["guess", "slope", "intercept", "r"],
-                   ([guess, f"{fit.slope:.17g}", f"{fit.intercept:.17g}", f"{fit.r:.17g}"]
+        _write_csv(args.fits, "guess,slope,intercept,r",
+                   (f"{guess},{fit.slope:.17g},{fit.intercept:.17g},{fit.r:.17g}"
                     for guess, fit in zip(guesses, fits)))
     for guess, fit in zip(guesses, fits):
         print(f"guess {guess:3d}: slope {fit.slope:+.6g} intercept {fit.intercept:+.6g} "
@@ -276,10 +274,9 @@ def cmd_sweep(args) -> int:
 
     grid = simulate_offset_grid(params["key"], params["n"], config, params["seed"], augmentations)
     attacks = attack_offset_grid(grid, args.byte, correct, args.stride, config.poi_index)
-    rows = [[bit, f"{offset:.17g}", "" if result.disclosure is None else result.disclosure,
-             len(horses)]
-            for (bit, offset), (result, horses) in zip(points, attacks)]
-    _write_csv(args.output, ["bit", "offset", "disclosure", "wrong_horse_count"], rows)
+    lines = [f"{bit},{offset:.17g},{'' if result.disclosure is None else result.disclosure},"
+             f"{len(horses)}" for (bit, offset), (result, horses) in zip(points, attacks)]
+    _write_csv(args.output, "bit,offset,disclosure,wrong_horse_count", lines)
     return 0
 
 

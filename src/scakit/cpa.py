@@ -62,18 +62,11 @@ class CorrelationAccumulator:
             raise ValueError("hypotheses and samples must be 2-D with matching rows")
         if x.shape[1] != len(self.sum_x) or y.shape[1] != len(self.sum_y):
             raise ValueError("batch width does not match accumulator dimensions")
+        self.n += len(x)
         self.sum_x += x.sum(axis=0)
         self.sum_xx += (x * x).sum(axis=0)
-        self._add_samples(x, y)
-
-    def _add_samples(self, x, y, yy=None, xy=None):
-        """Fold in the sample side of a float64 batch: its count, the y
-        sums and ``x.T @ y``, leaving the x sums to the caller.  ``yy``
-        and ``xy``, if given, receive ``y * y`` and ``x.T @ y``."""
-        self.n += len(x)
-        self.sum_y += y.sum(axis=0)
-        self.sum_yy += np.multiply(y, y, out=yy).sum(axis=0)
-        self.sum_xy += np.matmul(x.T, y, out=xy)
+        sums = (self.sum_y, self.sum_yy, self.sum_xy)
+        _add_samples(sums, x, y, sums)
 
     def merge(self, other) -> "CorrelationAccumulator":
         """Absorb another accumulator built over disjoint traces."""
@@ -92,6 +85,15 @@ class CorrelationAccumulator:
             return np.zeros_like(self.sum_xy)
         return _correlations(np.float64(self.n), self.sum_x, self.sum_xx, self.sum_y,
                              self.sum_yy, self.sum_xy)
+
+
+def _add_samples(sums, x, y, out, yy=None, xy=None):
+    """Write the sample-side sums ``(sum_y, sum_yy, sum_xy)`` plus those of the
+    float64 batch ``x``, ``y`` into ``out``, which may be ``sums`` itself;
+    ``yy`` and ``xy``, if given, receive ``y * y`` and ``x.T @ y``."""
+    parts = y.sum(axis=0), np.multiply(y, y, out=yy).sum(axis=0), np.matmul(x.T, y, out=xy)
+    for total, part, dest in zip(sums, parts, out):
+        np.add(total, part, out=dest)
 
 
 def _correlations(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out=None, scratch=None):
@@ -208,19 +210,16 @@ def _cpa_attack(traces, byte_index, checkpoints, hypotheses):
     """:func:`cpa_attack` at ``checkpoints``, given the :func:`_hypotheses`
     set-up of the traces' ciphertexts at the same checkpoints.
 
-    The sample-side sums are folded in segment by segment through
-    :class:`CorrelationAccumulator`; r is then computed for a block of
+    :func:`_add_samples` writes the sample-side sums at checkpoint ``i`` to
+    slot ``i % block`` as the slot before it plus the segment, the last slot
+    carrying them into the next block; r is then computed for a block of
     checkpoints at a time, bit for bit as ``correlations`` would at each.
     Every wide array is allocated once and reused at each checkpoint."""
     hyp, sum_x, sum_xx = hypotheses
     n_samples = traces.samples_per_trace
     block = min(len(checkpoints), max(1, _BLOCK_ELEMENTS // (256 * n_samples)))
-    acc = CorrelationAccumulator(256, n_samples)
-    if block == 1:   # r at every checkpoint, straight from the running sums
-        sum_y, sum_yy, sum_xy = acc.sum_y[None], acc.sum_yy[None], acc.sum_xy[None]
-    else:
-        sum_y, sum_yy = np.empty((2, block, n_samples))
-        sum_xy = np.empty((block, 256, n_samples))
+    sum_y, sum_yy = np.zeros((2, block, n_samples))
+    sum_xy = np.zeros((block, 256, n_samples))
     longest = int(np.diff(checkpoints, prepend=0).max())
     x, (y, yy) = np.empty((longest, 256)), np.empty((2, longest, n_samples))
     r, scratch = np.empty((2, block, 256, n_samples))
@@ -230,16 +229,15 @@ def _cpa_attack(traces, byte_index, checkpoints, hypotheses):
         m = count - start
         x[:m] = hyp[start:count]
         y[:m] = traces.samples[start:count]
-        acc._add_samples(x[:m], y[:m], yy[:m], scratch[0])   # scratch is free here
-        k = i % block + 1   # checkpoints of the current block so far
-        if block > 1:
-            sum_y[k - 1], sum_yy[k - 1], sum_xy[k - 1] = acc.sum_y, acc.sum_yy, acc.sum_xy
-        if k == block or i == len(checkpoints) - 1:
-            first = i + 1 - k
-            _correlations(counts[first:i + 1], sum_x[first:i + 1], sum_xx[first:i + 1],
-                          sum_y[:k], sum_yy[:k], sum_xy[:k], r[:k], scratch[:k])
-            best_sample = np.abs(r[:k], out=scratch[:k]).argmax(axis=2)[..., None]
-            values[:, first:i + 1] = np.take_along_axis(r[:k], best_sample, axis=2)[..., 0].T
+        k = i % block   # this checkpoint's slot; slot k - 1 (the last, at k = 0) precedes it
+        _add_samples((sum_y[k - 1], sum_yy[k - 1], sum_xy[k - 1]), x[:m], y[:m],
+                     (sum_y[k], sum_yy[k], sum_xy[k]), yy[:m], scratch[0])   # scratch is free here
+        if k == block - 1 or i == len(checkpoints) - 1:
+            done, slots = slice(i - k, i + 1), slice(k + 1)
+            _correlations(counts[done], sum_x[done], sum_xx[done], sum_y[slots], sum_yy[slots],
+                          sum_xy[slots], r[slots], scratch[slots])
+            best_sample = np.abs(r[slots], out=scratch[slots]).argmax(axis=2)[..., None]
+            values[:, done] = np.take_along_axis(r[slots], best_sample, axis=2)[..., 0].T
     evolution = CorrelationEvolution(np.array(checkpoints), values)
 
     scores = np.abs(values[:, -1])

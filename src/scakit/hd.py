@@ -79,7 +79,6 @@ def _class_summary(classes, y, key_guess) -> HdClassSummary:
 def group_by_hd(traces: TraceSet, key_guess, byte_index, sample_index=0) -> HdClassSummary:
     """Assign every trace to the HD class its model value predicts and
     summarize the chosen sample per class."""
-    aes._check_guess(key_guess)
     y = _sample(traces, sample_index)
     classes = aes.hypothesis_matrix(traces.ciphertexts, byte_index, [key_guess])[:, 0]
     return _class_summary(classes, y, key_guess)

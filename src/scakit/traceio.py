@@ -11,7 +11,7 @@ Two formats are supported:
   ===========  ======  ====================================================
   magic        4       ``b"SCTR"``
   version      2       format version, currently 1
-  flags        2       bit 0: a 16-byte true key follows the header
+  flags        2       bit 0: a 16-byte true key follows; others are 0
   n_traces     4       number of trace records
   spt          4       samples per trace
   seed         8       campaign seed, 0 meaning "no seed recorded"
@@ -107,6 +107,8 @@ def read_sctr(source) -> TraceSet:
         raise SctrFormatError(f"{name}: bad magic {magic!r}, expected {SCTR_MAGIC!r}")
     if version != SCTR_VERSION:
         raise SctrFormatError(f"{name}: unsupported version {version}, expected {SCTR_VERSION}")
+    if flags & ~_FLAG_TRUE_KEY:
+        raise SctrFormatError(f"{name}: unknown flag bits {flags & ~_FLAG_TRUE_KEY:#06x}")
     if spt < 1:
         raise SctrFormatError(f"{name}: samples_per_trace must be >= 1, header says {spt}")
 

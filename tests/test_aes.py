@@ -145,6 +145,9 @@ def test_hypothesis_matrix_matches_scalar():
     for j in (-1, 16):
         with pytest.raises(ValueError):
             aes.hypothesis_matrix(cts, j)
+    for guess in (-1, 256):   # not numpy's wrap-around or an IndexError
+        with pytest.raises(ValueError, match="key_guess"):
+            aes.hypothesis_matrix(cts, 0, [3, guess])
 
 
 def test_hypothesis_matrix_exhaustive_oracle():

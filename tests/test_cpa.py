@@ -219,11 +219,12 @@ def accumulator_evolution(traces, byte_index, checkpoints):
 # (n, samples per trace, stride, noise, baseline): S=1 over more
 # checkpoints than one batch holds, S=8, n not a multiple of the stride,
 # a stride past n, S=300 (one checkpoint per batch) with a shorter last
-# segment, and noiseless samples whose columns off the leaking one hold
-# the baseline, so their r is 0 by the zero-variance convention.
+# segment, noiseless samples whose columns off the leaking one hold the
+# baseline, so their r is 0 by the zero-variance convention, and S=8 over
+# two full batches of 32 checkpoints, the sums carried from the first.
 EVOLUTION_CASES = [(3001, 1, 10, 4.0, 0.0), (2000, 1, 100, 4.0, 0.0), (9001, 8, 250, 4.0, 0.0),
                    (700, 8, 1000, 4.0, 0.0), (5, 1, 1, 4.0, 0.0), (2050, 300, 100, 4.0, 0.0),
-                   (1201, 6, 100, 0.0, 0.7)]
+                   (1201, 6, 100, 0.0, 0.7), (6400, 8, 100, 4.0, 0.0)]
 
 
 @pytest.mark.parametrize("n,samples,stride,sigma,baseline", EVOLUTION_CASES,

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scakit.leakage import LeakageConfig, simulate_campaign
 from scakit.traceio import (
@@ -112,6 +114,38 @@ def test_sctr_rejects_zero_samples_per_trace(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(SctrFormatError, match="samples_per_trace must be >= 1"):
         read_sctr(path)
+
+
+def test_sctr_rejects_unknown_flag_bits():
+    buf = io.BytesIO()
+    write_sctr(_campaign(n=8, spt=1), buf)
+    data = bytearray(buf.getvalue())
+    data[6] |= 0x02   # the header's flags field, bit 0 (true key) left as written
+    with pytest.raises(SctrFormatError, match="unknown flag bits 0x0002"):
+        read_sctr(io.BytesIO(bytes(data)))
+
+
+# (offset, size) in the header of the fields that describe the file's layout
+HEADER_FIELDS = {"magic": (0, 4), "version": (4, 2), "flags": (6, 2), "n_traces": (8, 4),
+                 "spt": (12, 4)}
+
+
+@settings(max_examples=200)
+@given(n=st.integers(1, 5), spt=st.integers(1, 4), with_key=st.booleans(),
+       field=st.sampled_from(sorted(HEADER_FIELDS)), data=st.data())
+def test_sctr_rejects_any_changed_header_field(n, spt, with_key, field, data):
+    ts = _campaign(n=n, spt=spt)
+    if not with_key:
+        ts = TraceSet(ts.samples, ts.plaintexts, ts.ciphertexts, seed=ts.seed)
+    buf = io.BytesIO()
+    write_sctr(ts, buf)
+    file_bytes = bytearray(buf.getvalue())
+    at, size = HEADER_FIELDS[field]
+    written = int.from_bytes(file_bytes[at:at + size], "little")
+    value = data.draw(st.integers(0, 256 ** size - 1).filter(lambda v: v != written))
+    file_bytes[at:at + size] = value.to_bytes(size, "little")
+    with pytest.raises(SctrFormatError):
+        read_sctr(io.BytesIO(bytes(file_bytes)))
 
 
 def test_sctr_missing_file_is_io_error(tmp_path):
