@@ -13,14 +13,12 @@ from .aes import (
     block_hex,
     correct_last_round_guess,
     encrypt_batch,
-    encrypt_block,
     expand_key,
     hamming_weight,
     hypothesis_matrix,
     hypothetical_power,
     invert_key_schedule,
     last_round_key,
-    last_round_states,
     last_round_states_batch,
     last_round_transitions,
 )
@@ -51,7 +49,6 @@ from .leakage import (
     ro_offset_model,
     simulate_campaign,
     simulate_offset_grid,
-    simulate_trace,
 )
 from .traceio import (
     SctrFormatError,

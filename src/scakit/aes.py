@@ -69,14 +69,16 @@ PRIOR = INV_SBOX[np.bitwise_xor.outer(np.arange(256), np.arange(256))]
 
 
 def as_block(value) -> np.ndarray:
-    """Coerce bytes / hex string / 16-int sequence to a (16,) uint8 array."""
+    """Coerce bytes / hex string / 16-int sequence to a (16,) uint8 array;
+    values that are not integers in 0..255 are an error, never wrapped."""
     if isinstance(value, str):
         value = bytes.fromhex(value)
-    block = np.asarray(bytearray(value) if isinstance(value, (bytes, bytearray)) else value,
-                       dtype=np.uint8)
+    block = np.asarray(bytearray(value) if isinstance(value, (bytes, bytearray)) else value)
     if block.shape != (16,):
         raise ValueError(f"block must have exactly 16 bytes, got shape {block.shape}")
-    return block
+    if block.dtype.kind not in "iu" or not 0 <= block.min() <= block.max() <= 255:
+        raise ValueError(f"block values must be integers in 0..255, got {block.tolist()}")
+    return block.astype(np.uint8, copy=False)
 
 
 def block_hex(block) -> str:
@@ -142,29 +144,16 @@ def _encrypt_states(round_keys, states):
     return round9, ct
 
 
-def encrypt_block(key, plaintext) -> np.ndarray:
-    """AES-128 encryption of a single 16-byte block."""
-    return _encrypt_states(expand_key(key), as_block(plaintext)[None, :])[1][0]
-
-
 def encrypt_batch(key, plaintexts) -> np.ndarray:
     """AES-128 encryption of an (n, 16) array of blocks under one key."""
     pts = _as_batch(plaintexts)
     return _encrypt_states(expand_key(key), pts)[1]
 
 
-def last_round_states(key, plaintext):
-    """State register content before the final-round overwrite, and the
-    ciphertext that overwrites it.
-
-    XOR of the two is the true per-bit toggle mask of the overwrite.
-    """
-    round9, ct = _encrypt_states(expand_key(key), as_block(plaintext)[None, :])
-    return round9[0], ct[0]
-
-
 def last_round_states_batch(key, plaintexts):
-    """Batch form of :func:`last_round_states` over an (n, 16) array."""
+    """State register content before the final-round overwrite, and the
+    ciphertext that overwrites it, for an (n, 16) array of plaintexts.
+    XOR of the two is the true per-bit toggle mask of the overwrite."""
     return _encrypt_states(expand_key(key), _as_batch(plaintexts))
 
 

@@ -105,15 +105,6 @@ def toggle_bits(round9, ciphertext) -> np.ndarray:
     return np.unpackbits(np.asarray(round9) ^ np.asarray(ciphertext), axis=1, bitorder="little")
 
 
-def _unaugmented_samples(key, plaintexts, config, noise):
-    """The float64 samples before the augmentation, the toggle bytes
-    (round-9 state XOR ciphertext) and the ciphertexts."""
-    round9, cts = aes.last_round_states_batch(key, plaintexts)
-    samples = noise + config.baseline
-    samples[:, config.poi_index] -= toggle_bits(round9, cts) @ config.bit_weights
-    return samples, round9 ^ cts, cts
-
-
 def _augment(poi, toggles, aug):
     """Subtract the augmentation offset, in place, from the float64 POI
     column ``poi`` of the traces whose toggle bytes fire its trigger."""
@@ -121,20 +112,6 @@ def _augment(poi, toggles, aug):
         bit = ((toggles[:, aug.byte_index] >> aug.bit_index) & 1).astype(np.float64)
         fires = bit if aug.trigger is Trigger.ON_TOGGLE else 1.0 - bit
         poi -= aug.offset * fires
-
-
-def simulate_trace(key, plaintext, config: LeakageConfig, rng):
-    """One synthetic trace for one encryption.
-
-    Returns ``(trace, ciphertext)`` where ``trace`` is a
-    ``(samples_per_trace,)`` float32 array.  ``rng`` is a numpy
-    ``Generator``; pass a freshly seeded one for reproducibility.
-    """
-    pt = aes.as_block(plaintext)[None, :]
-    noise = rng.normal(0.0, config.noise_sigma, size=(1, config.samples_per_trace))
-    samples, toggles, cts = _unaugmented_samples(key, pt, config, noise)
-    _augment(samples[:, config.poi_index], toggles, config.augmentation)
-    return samples[0].astype(np.float32), cts[0]
 
 
 def _base_chunk(key, n, config, seed, chunk_index):
@@ -146,9 +123,11 @@ def _base_chunk(key, n, config, seed, chunk_index):
     m = min(n, lo + CAMPAIGN_CHUNK) - lo
     rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
     pts = rng.integers(0, 256, size=(m, 16), dtype=np.uint8)
-    noise = rng.normal(0.0, config.noise_sigma, size=(m, config.samples_per_trace))
-    samples, toggles, cts = _unaugmented_samples(key, pts, config, noise)
-    return samples.astype(np.float32), samples[:, config.poi_index].copy(), toggles, pts, cts
+    samples = rng.normal(0.0, config.noise_sigma, size=(m, config.samples_per_trace))
+    samples += config.baseline
+    round9, cts = aes.last_round_states_batch(key, pts)
+    samples[:, config.poi_index] -= toggle_bits(round9, cts) @ config.bit_weights
+    return samples.astype(np.float32), samples[:, config.poi_index].copy(), round9 ^ cts, pts, cts
 
 
 def simulate_offset_grid(key, n, config: LeakageConfig, seed, augmentations):

@@ -159,7 +159,8 @@ def import_raw(samples_path, meta_path, samples_per_trace=None) -> TraceSet:
 
     When ``samples_per_trace`` is given the sample file length is checked
     against it; otherwise the trace length is inferred from the file size
-    and the CSV row count.  Any inconsistency is an error, never a silent
+    and the CSV row count, so padding by a whole multiple of n floats reads
+    as longer traces.  Any other inconsistency is an error, never a silent
     truncation.  Rows are counted from 1 (the header line is row 0).
     """
     if samples_per_trace is not None and samples_per_trace < 1:

@@ -103,8 +103,8 @@ def plain_50k_campaign():
 
 
 def test_criterion_01_aes_correctness():
-    ct = sk.encrypt_block("000102030405060708090a0b0c0d0e0f",
-                          "00112233445566778899aabbccddeeff")
+    ct = sk.encrypt_batch("000102030405060708090a0b0c0d0e0f",
+                          sk.as_block("00112233445566778899aabbccddeeff")[None])[0]
     ct_ok = sk.block_hex(ct) == "69c4e0d86a7b0430d8cdb78070b4c55a"
     k10 = sk.last_round_key("000102030405060708090a0b0c0d0e0f")
     k10_ok = sk.block_hex(k10) == "13111d7fe3944a17f307a78b4d2b30c5"
@@ -119,7 +119,7 @@ def test_criterion_02_model_consistency():
     for _ in range(1000):
         key = rng.integers(0, 256, 16, dtype=np.uint8)
         pt = rng.integers(0, 256, 16, dtype=np.uint8)
-        round9, ct = sk.last_round_states(key, pt)
+        round9, ct = (rows[0] for rows in sk.last_round_states_batch(key, pt[None]))
         k10 = sk.last_round_key(key)
         for j in range(16):
             guess = int(k10[aes.SR_FORWARD[j]])

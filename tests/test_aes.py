@@ -9,14 +9,24 @@ FIPS_CT = "69c4e0d86a7b0430d8cdb78070b4c55a"
 FIPS_ROUND10_KEY = "13111d7fe3944a17f307a78b4d2b30c5"
 
 
+def encrypt_one(key, plaintext):
+    """One block through the batch cipher: a one-row batch, row 0."""
+    return aes.encrypt_batch(key, aes.as_block(plaintext)[None])[0]
+
+
+def last_round_states_one(key, plaintext):
+    round9, ct = aes.last_round_states_batch(key, aes.as_block(plaintext)[None])
+    return round9[0], ct[0]
+
+
 def test_encrypt_known_vector():
-    ct = aes.encrypt_block(FIPS_KEY, FIPS_PT)
+    ct = encrypt_one(FIPS_KEY, FIPS_PT)
     assert aes.block_hex(ct) == FIPS_CT
 
 
 def test_encrypt_deterministic():
-    a = aes.encrypt_block(FIPS_KEY, FIPS_PT)
-    b = aes.encrypt_block(FIPS_KEY, FIPS_PT)
+    a = encrypt_one(FIPS_KEY, FIPS_PT)
+    b = encrypt_one(FIPS_KEY, FIPS_PT)
     assert np.array_equal(a, b)
 
 
@@ -26,7 +36,7 @@ def test_encrypt_batch_matches_scalar():
     pts = rng.integers(0, 256, (20, 16), dtype=np.uint8)
     batch = aes.encrypt_batch(key, pts)
     for i in range(20):
-        assert np.array_equal(batch[i], aes.encrypt_block(key, pts[i]))
+        assert np.array_equal(batch[i], encrypt_one(key, pts[i]))
     with pytest.raises(ValueError, match=r"\(n, 16\) byte array"):
         aes.encrypt_batch(key, pts[:, :15])
 
@@ -72,8 +82,8 @@ def test_last_round_states_consistency():
     for _ in range(20):
         key = rng.integers(0, 256, 16, dtype=np.uint8)
         pt = rng.integers(0, 256, 16, dtype=np.uint8)
-        round9, ct = aes.last_round_states(key, pt)
-        assert np.array_equal(ct, aes.encrypt_block(key, pt))
+        round9, ct = last_round_states_one(key, pt)
+        assert np.array_equal(ct, encrypt_one(key, pt))
         # the register toggle mask is the xor of old and new content
         assert np.array_equal(round9 ^ ct, np.bitwise_xor(round9, ct))
 
@@ -83,7 +93,7 @@ def test_transitions_match_true_register_toggles():
     for _ in range(100):
         key = rng.integers(0, 256, 16, dtype=np.uint8)
         pt = rng.integers(0, 256, 16, dtype=np.uint8)
-        round9, ct = aes.last_round_states(key, pt)
+        round9, ct = last_round_states_one(key, pt)
         k10 = aes.last_round_key(key)
         for j in range(16):
             guess = int(k10[aes.SR_FORWARD[j]])
@@ -209,3 +219,19 @@ def test_as_block_validation():
         aes.as_block("00" * 17)
     assert np.array_equal(aes.as_block("00" * 16), np.zeros(16, np.uint8))
     assert aes.block_hex(aes.as_block(FIPS_KEY.upper())) == FIPS_KEY
+
+
+@pytest.mark.parametrize("bad", [[256] * 16, [-1] * 16, [1.5] * 16, [1.0] * 16, [True] * 16,
+                                 ["1"] * 16, np.full(16, 300, np.uint16)],
+                         ids=["256", "-1", "1.5", "float-1.0", "bool", "str", "uint16-300"])
+def test_as_block_rejects_values_that_are_not_bytes(bad):
+    # never an OverflowError, and never a silently wrapped or truncated key
+    with pytest.raises(ValueError, match="integers in 0..255"):
+        aes.as_block(bad)
+
+
+def test_as_block_accepts_integer_bytes():
+    assert aes.block_hex(list(range(240, 256))) == bytes(range(240, 256)).hex()
+    assert aes.block_hex(np.arange(16, dtype=np.int64)) == bytes(range(16)).hex()
+    block = np.arange(16, dtype=np.uint8)
+    assert aes.as_block(block) is block   # already uint8: no copy

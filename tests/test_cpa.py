@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scakit import aes
 from scakit.cpa import (
@@ -61,17 +63,23 @@ def test_accumulator_matches_two_pass():
                                            abs=1e-12)
 
 
-def test_accumulator_merge_matches_sequential():
-    rng = np.random.default_rng(1)
-    hyp = rng.integers(0, 9, size=(5000, 8)).astype(np.float64)
-    samples = rng.normal(-60.0, 6.0, size=(5000, 2))
+SPLIT_RNG = np.random.default_rng(1)
+SPLIT_HYP = SPLIT_RNG.integers(0, 9, size=(5000, 8)).astype(np.float64)
+SPLIT_SAMPLES = SPLIT_RNG.normal(-60.0, 6.0, size=(5000, 2))
+
+
+@settings(max_examples=200)
+@given(cuts=st.lists(st.integers(0, 5000), max_size=39))
+@example(cuts=[700, 1500, 1501, 4000])
+def test_accumulator_merge_matches_sequential(cuts):
+    # any split into up to 40 parts; repeated cuts give empty parts
     seq = CorrelationAccumulator(8, 2)
-    seq.update(hyp, samples)
+    seq.update(SPLIT_HYP, SPLIT_SAMPLES)
     merged = CorrelationAccumulator(8, 2)
-    bounds = [0, 700, 1500, 1501, 4000, 5000]
+    bounds = [0, *sorted(cuts), 5000]
     for lo, hi in zip(bounds, bounds[1:]):
         part = CorrelationAccumulator(8, 2)
-        part.update(hyp[lo:hi], samples[lo:hi])
+        part.update(SPLIT_HYP[lo:hi], SPLIT_SAMPLES[lo:hi])
         merged.merge(part)
     assert merged.n == seq.n
     assert np.max(np.abs(merged.correlations() - seq.correlations())) < 1e-12

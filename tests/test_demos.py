@@ -1,16 +1,19 @@
-"""Smoke test: every demo script runs to the end.
+"""Smoke tests: every demo script and the README's library tour run to
+the end.
 
 Each demo is copied into a temporary directory first, so the CSVs it
 writes next to itself land there and not in ``demos/out``.
 """
 
+import re
 import runpy
 import shutil
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("0*.py"))
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
 def test_demos_are_found():
@@ -22,3 +25,13 @@ def test_demo_runs(demo, tmp_path, capsys):
     script = shutil.copy(demo, tmp_path)
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"^## Library tour\n.*?^```python\n(.*?)^```", readme, re.M | re.S)
+    namespace = {}
+    exec(compile(tour.group(1), "README.md", "exec"), namespace)
+    sk = namespace["sk"]
+    # as the tour's comment says, the protected campaign never settles
+    assert sk.cpa_attack(namespace["protected"], 0)[0].disclosure is None

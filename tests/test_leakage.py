@@ -14,7 +14,6 @@ from scakit.leakage import (
     ro_offset_model,
     simulate_campaign,
     simulate_offset_grid,
-    simulate_trace,
     toggle_bits,
 )
 
@@ -27,30 +26,17 @@ def total_hd(key, pts):
 
 
 def test_noiseless_trace_is_affine_in_total_hd():
-    rng = np.random.default_rng(0)
     config = LeakageConfig.equal_weights(0.5, baseline=2.0)
-    for _ in range(20):
-        pt = rng.integers(0, 256, 16, dtype=np.uint8)
-        trace, ct = simulate_trace(KEY, pt, config, np.random.default_rng(1))
-        h = int(total_hd(KEY, pt[None, :])[0])
-        assert trace[0] == np.float32(2.0 - 0.5 * h)
-        assert np.array_equal(ct, aes.encrypt_block(KEY, pt))
+    ts = simulate_campaign(KEY, 20, config, seed=1)
+    h = total_hd(KEY, ts.plaintexts)
+    assert np.array_equal(ts.samples[:, 0], (2.0 - 0.5 * h).astype(np.float32))
+    assert np.array_equal(ts.ciphertexts, aes.encrypt_batch(KEY, ts.plaintexts))
 
 
 def test_zero_weights_give_exact_baseline():
     config = LeakageConfig(bit_weights=np.zeros(128), baseline=1.25)
-    trace, _ = simulate_trace(KEY, np.arange(16, dtype=np.uint8), config,
-                              np.random.default_rng(0))
-    assert trace[0] == np.float32(1.25)
-
-
-def _find_plaintext_with_bit(key, byte_index, bit_index, want_toggle, rng):
-    while True:
-        pt = rng.integers(0, 256, 16, dtype=np.uint8)
-        round9, ct = aes.last_round_states(key, pt)
-        toggled = bool((round9[byte_index] ^ ct[byte_index]) >> bit_index & 1)
-        if toggled == want_toggle:
-            return pt
+    ts = simulate_campaign(KEY, 16, config, seed=0)
+    assert np.all(ts.samples[:, 0] == np.float32(1.25))
 
 
 @pytest.mark.parametrize("trigger,want_toggle", [
@@ -58,19 +44,17 @@ def _find_plaintext_with_bit(key, byte_index, bit_index, want_toggle, rng):
     (Trigger.ON_TOGGLE, True),
 ])
 def test_augmentation_fires_exactly_on_trigger(trigger, want_toggle):
-    rng = np.random.default_rng(7)
     aug = Augmentation(0, 2, offset=3.0, trigger=trigger)
     config = LeakageConfig.equal_weights(1.0, augmentation=aug)
+    ts = simulate_campaign(KEY, 64, config, seed=7)
+    round9, cts = aes.last_round_states_batch(KEY, ts.plaintexts)
+    holds = (round9[:, 0] ^ cts[:, 0]) >> 2 & 1 == want_toggle
+    assert holds.any() and not holds.all()
+    h = total_hd(KEY, ts.plaintexts)
     # a trace where the condition holds carries the full offset...
-    pt = _find_plaintext_with_bit(KEY, 0, 2, want_toggle, rng)
-    trace, _ = simulate_trace(KEY, pt, config, np.random.default_rng(0))
-    h = int(total_hd(KEY, pt[None, :])[0])
-    assert trace[0] == np.float32(-1.0 * h - 3.0)
+    assert np.array_equal(ts.samples[holds, 0], (-1.0 * h[holds] - 3.0).astype(np.float32))
     # ...and one where it does not hold carries none of it
-    pt = _find_plaintext_with_bit(KEY, 0, 2, not want_toggle, rng)
-    trace, _ = simulate_trace(KEY, pt, config, np.random.default_rng(0))
-    h = int(total_hd(KEY, pt[None, :])[0])
-    assert trace[0] == np.float32(-1.0 * h)
+    assert np.array_equal(ts.samples[~holds, 0], (-1.0 * h[~holds]).astype(np.float32))
 
 
 def test_augmented_campaign_matches_formula_trace_by_trace():

@@ -1,5 +1,7 @@
 import io
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +150,53 @@ def test_sctr_rejects_any_changed_header_field(n, spt, with_key, field, data):
         read_sctr(io.BytesIO(bytes(file_bytes)))
 
 
+@st.composite
+def trace_sets(draw):
+    """Any shape, arbitrary finite float32 samples and bytes, with or
+    without a key and a seed."""
+    n, spt = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    samples = draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                            min_size=n * spt, max_size=n * spt))
+    blocks = np.frombuffer(draw(st.binary(min_size=32 * n, max_size=32 * n)), np.uint8)
+    blocks = blocks.reshape(n, 2, 16)
+    return TraceSet(np.array(samples, np.float32).reshape(n, spt), blocks[:, 0], blocks[:, 1],
+                    true_key=draw(st.none() | st.binary(min_size=16, max_size=16)),
+                    seed=draw(st.none() | st.integers(0, 2 ** 64 - 1)))
+
+
+def _sctr_bytes(ts):
+    buf = io.BytesIO()
+    write_sctr(ts, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=200)
+@given(ts=trace_sets())
+def test_sctr_round_trip_is_bit_exact_for_any_shape(ts):
+    back = read_sctr(io.BytesIO(_sctr_bytes(ts)))
+    assert back.samples.shape == ts.samples.shape
+    for name in ("samples", "plaintexts", "ciphertexts"):
+        assert getattr(back, name).tobytes() == getattr(ts, name).tobytes()
+    if ts.true_key is None:
+        assert back.true_key is None
+    else:
+        assert back.true_key.tobytes() == ts.true_key.tobytes()
+    # the header stores "no seed" as 0, so seed 0 reads back as None by design
+    assert back.seed == (ts.seed or None)
+
+
+@settings(max_examples=200)
+@given(ts=trace_sets(), data=st.data())
+def test_sctr_rejects_any_truncation_or_padding(ts, data):
+    valid = _sctr_bytes(ts)
+    if data.draw(st.booleans(), label="truncate"):
+        changed = valid[:data.draw(st.integers(0, len(valid) - 1), label="length")]
+    else:
+        changed = valid + data.draw(st.binary(min_size=1, max_size=300), label="padding")
+    with pytest.raises(SctrFormatError):
+        read_sctr(io.BytesIO(changed))
+
+
 def test_sctr_missing_file_is_io_error(tmp_path):
     with pytest.raises(OSError):
         read_sctr(tmp_path / "nope.sctr")
@@ -201,6 +250,26 @@ def test_import_raw_row_count_mismatch(tmp_path):
     for spt in (-1, 0):
         with pytest.raises(TraceImportError, match=f"samples_per_trace must be >= 1, got {spt}:"):
             import_raw(raw, meta, samples_per_trace=spt)
+
+
+@settings(max_examples=200)
+@given(n=st.integers(1, 4), spt=st.integers(1, 4), data=st.data())
+def test_import_raw_never_truncates_or_pads(n, spt, data):
+    # a TemporaryDirectory, since a function-scoped tmp_path is shared by all examples
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, meta = _write_raw(Path(tmp), n, spt)
+        valid = raw.read_bytes()
+        size = data.draw(st.integers(0, len(valid) + 4 * n * 3).filter(lambda s: s != len(valid)),
+                         label="size")
+        raw.write_bytes(valid[:size].ljust(size, b"\x00"))
+        with pytest.raises(TraceImportError):
+            import_raw(raw, meta, samples_per_trace=spt)
+        # without a trace length, a whole multiple of n floats is just longer traces
+        if size == 0 or size % (4 * n):
+            with pytest.raises(TraceImportError):
+                import_raw(raw, meta)
+        else:
+            assert import_raw(raw, meta).samples.shape == (n, size // (4 * n))
 
 
 def test_import_raw_rejects_bad_hex(tmp_path):
