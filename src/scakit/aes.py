@@ -29,24 +29,8 @@ SBOX = np.array([
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ], dtype=np.uint8)
 
-INV_SBOX = np.array([
-    0x52, 0x09, 0x6a, 0xd5, 0x30, 0x36, 0xa5, 0x38, 0xbf, 0x40, 0xa3, 0x9e, 0x81, 0xf3, 0xd7, 0xfb,
-    0x7c, 0xe3, 0x39, 0x82, 0x9b, 0x2f, 0xff, 0x87, 0x34, 0x8e, 0x43, 0x44, 0xc4, 0xde, 0xe9, 0xcb,
-    0x54, 0x7b, 0x94, 0x32, 0xa6, 0xc2, 0x23, 0x3d, 0xee, 0x4c, 0x95, 0x0b, 0x42, 0xfa, 0xc3, 0x4e,
-    0x08, 0x2e, 0xa1, 0x66, 0x28, 0xd9, 0x24, 0xb2, 0x76, 0x5b, 0xa2, 0x49, 0x6d, 0x8b, 0xd1, 0x25,
-    0x72, 0xf8, 0xf6, 0x64, 0x86, 0x68, 0x98, 0x16, 0xd4, 0xa4, 0x5c, 0xcc, 0x5d, 0x65, 0xb6, 0x92,
-    0x6c, 0x70, 0x48, 0x50, 0xfd, 0xed, 0xb9, 0xda, 0x5e, 0x15, 0x46, 0x57, 0xa7, 0x8d, 0x9d, 0x84,
-    0x90, 0xd8, 0xab, 0x00, 0x8c, 0xbc, 0xd3, 0x0a, 0xf7, 0xe4, 0x58, 0x05, 0xb8, 0xb3, 0x45, 0x06,
-    0xd0, 0x2c, 0x1e, 0x8f, 0xca, 0x3f, 0x0f, 0x02, 0xc1, 0xaf, 0xbd, 0x03, 0x01, 0x13, 0x8a, 0x6b,
-    0x3a, 0x91, 0x11, 0x41, 0x4f, 0x67, 0xdc, 0xea, 0x97, 0xf2, 0xcf, 0xce, 0xf0, 0xb4, 0xe6, 0x73,
-    0x96, 0xac, 0x74, 0x22, 0xe7, 0xad, 0x35, 0x85, 0xe2, 0xf9, 0x37, 0xe8, 0x1c, 0x75, 0xdf, 0x6e,
-    0x47, 0xf1, 0x1a, 0x71, 0x1d, 0x29, 0xc5, 0x89, 0x6f, 0xb7, 0x62, 0x0e, 0xaa, 0x18, 0xbe, 0x1b,
-    0xfc, 0x56, 0x3e, 0x4b, 0xc6, 0xd2, 0x79, 0x20, 0x9a, 0xdb, 0xc0, 0xfe, 0x78, 0xcd, 0x5a, 0xf4,
-    0x1f, 0xdd, 0xa8, 0x33, 0x88, 0x07, 0xc7, 0x31, 0xb1, 0x12, 0x10, 0x59, 0x27, 0x80, 0xec, 0x5f,
-    0x60, 0x51, 0x7f, 0xa9, 0x19, 0xb5, 0x4a, 0x0d, 0x2d, 0xe5, 0x7a, 0x9f, 0x93, 0xc9, 0x9c, 0xef,
-    0xa0, 0xe0, 0x3b, 0x4d, 0xae, 0x2a, 0xf5, 0xb0, 0xc8, 0xeb, 0xbb, 0x3c, 0x83, 0x53, 0x99, 0x61,
-    0x17, 0x2b, 0x04, 0x7e, 0xba, 0x77, 0xd6, 0x26, 0xe1, 0x69, 0x14, 0x63, 0x55, 0x21, 0x0c, 0x7d,
-], dtype=np.uint8)
+INV_SBOX = np.empty_like(SBOX)
+INV_SBOX[SBOX] = np.arange(256)
 
 RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
@@ -54,7 +38,8 @@ RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 # SR_FORWARD[p] is where the byte at position p lands, SR_INVERSE[q] is
 # where the byte now at position q came from.
 SR_FORWARD = np.array([0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3])
-SR_INVERSE = np.array([0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11])
+SR_INVERSE = np.empty_like(SR_FORWARD)
+SR_INVERSE[SR_FORWARD] = np.arange(16)
 
 HW_TABLE = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -63,22 +48,33 @@ XTIME = np.array([((v << 1) ^ (0x1B if v & 0x80 else 0)) & 0xFF for v in range(2
                  dtype=np.uint8)
 
 # PRIOR[c, g] is the state byte before the final round under key guess g,
-# given ciphertext byte c at the post-ShiftRows position.  It is
-# symmetric, since c ^ g == g ^ c.
+# given ciphertext byte c at the post-ShiftRows position.
 PRIOR = INV_SBOX[np.bitwise_xor.outer(np.arange(256), np.arange(256))]
 
 
 def as_block(value) -> np.ndarray:
-    """Coerce bytes / hex string / 16-int sequence to a (16,) uint8 array;
-    values that are not integers in 0..255 are an error, never wrapped."""
+    """Coerce bytes / hex string / 16-int sequence to a (16,) uint8 array,
+    by the rule of :func:`_as_bytes`."""
     if isinstance(value, str):
         value = bytes.fromhex(value)
     block = np.asarray(bytearray(value) if isinstance(value, (bytes, bytearray)) else value)
     if block.shape != (16,):
         raise ValueError(f"block must have exactly 16 bytes, got shape {block.shape}")
-    if block.dtype.kind not in "iu" or not 0 <= block.min() <= block.max() <= 255:
-        raise ValueError(f"block values must be integers in 0..255, got {block.tolist()}")
-    return block.astype(np.uint8, copy=False)
+    return _as_bytes(block, "block")
+
+
+def _as_bytes(values, name) -> np.ndarray:
+    """``values`` as uint8: a uint8 array itself, an empty one whatever its dtype,
+    else integers in 0..255, never wrapped, or a ValueError naming the first bad row."""
+    arr = np.asarray(values)
+    if arr.dtype == np.uint8 or arr.size == 0:
+        return arr.astype(np.uint8, copy=False)
+    rows = arr.reshape(-1, arr.shape[-1] if arr.ndim else 1)
+    ok = ((rows >= 0) & (rows <= 255)).all(axis=1) if arr.dtype.kind in "iu" else [False]
+    if not np.all(ok):
+        row = int(np.argmin(ok))
+        raise ValueError(f"{name} must hold integers in 0..255, row {row} is {rows[row].tolist()}")
+    return arr.astype(np.uint8)
 
 
 def block_hex(block) -> str:
@@ -139,15 +135,12 @@ def _encrypt_states(round_keys, states):
     s = states ^ round_keys[0]
     for r in range(1, 10):
         s = _mix_columns(SBOX[s][:, SR_INVERSE]) ^ round_keys[r]
-    round9 = s
-    ct = SBOX[s][:, SR_INVERSE] ^ round_keys[10]
-    return round9, ct
+    return s, SBOX[s][:, SR_INVERSE] ^ round_keys[10]
 
 
 def encrypt_batch(key, plaintexts) -> np.ndarray:
     """AES-128 encryption of an (n, 16) array of blocks under one key."""
-    pts = _as_batch(plaintexts)
-    return _encrypt_states(expand_key(key), pts)[1]
+    return _encrypt_states(expand_key(key), _as_batch(plaintexts))[1]
 
 
 def last_round_states_batch(key, plaintexts):
@@ -158,7 +151,7 @@ def last_round_states_batch(key, plaintexts):
 
 
 def _as_batch(blocks):
-    arr = np.asarray(blocks, dtype=np.uint8)
+    arr = _as_bytes(blocks, "blocks")
     if arr.ndim != 2 or arr.shape[1] != 16:
         raise ValueError(f"expected an (n, 16) byte array, got shape {arr.shape}")
     return arr
@@ -211,18 +204,9 @@ def hypothesis_matrix(ciphertexts, byte_index, guesses=None) -> np.ndarray:
     for guess in guesses if guesses is not None else ():
         _check_guess(guess)
     cts = _as_batch(ciphertexts)
-    return _model_values(cts[:, SR_FORWARD[byte_index]], cts[:, byte_index],
-                         guess_axis=1, guesses=guesses)
-
-
-def _model_values(prior_bytes, new_bytes, guess_axis, guesses=None):
-    """HD of each (ciphertext byte at the post-ShiftRows position, byte
-    written) pair under every guess, or under ``guesses`` only, the
-    guesses along ``guess_axis``: PRIOR's rows or, as it is symmetric,
-    its columns give the prior state."""
-    table = PRIOR if guesses is None else PRIOR.take(guesses, axis=guess_axis)
-    hyp = table.take(prior_bytes, axis=1 - guess_axis)
-    hyp ^= np.expand_dims(new_bytes, guess_axis)
+    table = PRIOR if guesses is None else PRIOR.take(guesses, axis=1)
+    hyp = table.take(cts[:, SR_FORWARD[byte_index]], axis=0)
+    hyp ^= cts[:, byte_index, None]
     return np.bitwise_count(hyp, out=hyp)
 
 

@@ -187,6 +187,8 @@ def _attack_one(traces, byte_index, stride):
 def cmd_attack(args) -> int:
     if args.all_bytes and args.evolution_csv:
         raise ValueError("--evolution-csv needs single-byte mode; drop --all-bytes")
+    if args.all_bytes and args.byte is not None:
+        raise ValueError("--byte would be ignored with --all-bytes: drop one of them")
     traces = read_sctr(args.sctr)
     report = {
         "schema_version": 1,
@@ -213,7 +215,7 @@ def cmd_attack(args) -> int:
             report["true_last_round_key_hex"] = aes.block_hex(true_k10)
             report["recovered"] = bool(np.array_equal(recovered, true_k10))
     else:
-        result, evolution, entry = _attack_one(traces, args.byte, args.stride)
+        result, evolution, entry = _attack_one(traces, args.byte or 0, args.stride)
         report.update(entry)
         report["ranking"] = result.ranking.tolist()
         report["scores"] = result.scores.tolist()
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_att = sub.add_parser("attack", help="CPA attack on an SCTR file")
     p_att.add_argument("sctr")
-    p_att.add_argument("--byte", type=int, default=0, help="state byte index to attack")
+    p_att.add_argument("--byte", type=int, help="state byte index to attack (default 0)")
     p_att.add_argument("--all-bytes", action="store_true", dest="all_bytes",
                        help="attack all 16 byte positions and assemble the key")
     p_att.add_argument("--stride", type=int, default=100, help="checkpoint stride in traces")

@@ -161,13 +161,13 @@ class _PairClasses:
 
 
 def _pair_classes(ciphertexts, byte_index) -> _PairClasses:
-    """Find the distinct pairs and classify them with the hypothesis
-    kernel, guess-major so each guess's classes are one contiguous row."""
+    """Find the distinct pairs and classify them with the hypothesis matrix,
+    transposed so that each guess's classes are one contiguous row."""
     aes._check_byte_index(byte_index)
     prior, new = ciphertexts[:, aes.SR_FORWARD[byte_index]], ciphertexts[:, byte_index]
     _, first, inverse = np.unique(prior.astype(np.intp) << 8 | new,
                                   return_index=True, return_inverse=True)
-    table = aes._model_values(prior[first], new[first], guess_axis=0)
+    table = np.ascontiguousarray(aes.hypothesis_matrix(ciphertexts[first], byte_index).T)
     counts = _class_sums(table, np.bincount(inverse).astype(np.float64))
     return _PairClasses(inverse, table, counts)
 

@@ -23,8 +23,8 @@ class TraceSet:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float32)
-        self.plaintexts = np.asarray(self.plaintexts, dtype=np.uint8)
-        self.ciphertexts = np.asarray(self.ciphertexts, dtype=np.uint8)
+        self.plaintexts = aes._as_bytes(self.plaintexts, "plaintexts")
+        self.ciphertexts = aes._as_bytes(self.ciphertexts, "ciphertexts")
         if self.true_key is not None:
             self.true_key = aes.as_block(self.true_key)
         if self.samples.ndim != 2:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scakit import aes
+from scakit.traces import TraceSet
 
 FIPS_KEY = "000102030405060708090a0b0c0d0e0f"
 FIPS_PT = "00112233445566778899aabbccddeeff"
@@ -235,3 +236,34 @@ def test_as_block_accepts_integer_bytes():
     assert aes.block_hex(np.arange(16, dtype=np.int64)) == bytes(range(16)).hex()
     block = np.arange(16, dtype=np.uint8)
     assert aes.as_block(block) is block   # already uint8: no copy
+
+
+BYTE_ENTRY_POINTS = {
+    "as_block": lambda blocks: aes.as_block(blocks[1]),
+    "TraceSet": lambda blocks: TraceSet(np.zeros((len(blocks), 1)), blocks, blocks),
+    "encrypt_batch": lambda blocks: aes.encrypt_batch(FIPS_KEY, blocks),
+    "last_round_states_batch": lambda blocks: aes.last_round_states_batch(FIPS_KEY, blocks),
+    "hypothesis_matrix": lambda blocks: aes.hypothesis_matrix(blocks, 0),
+}
+
+
+@pytest.mark.parametrize("bad,row", [(300, 1), (-1, 1), (1.5, 0)], ids=["300", "-1", "1.5"])
+@pytest.mark.parametrize("entry", BYTE_ENTRY_POINTS)
+def test_byte_entry_points_reject_values_that_are_not_bytes(entry, bad, row):
+    # never an OverflowError or a wrapped byte; a float array is not bytes
+    # from its first row on, so that row is the one named
+    blocks = [[0] * 16, [7] * 15 + [bad], [bad] * 16]
+    if entry == "as_block":
+        row = 0
+    with pytest.raises(ValueError, match=rf"integers in 0\.\.255, row {row} is \[[^]]*\]$"):
+        BYTE_ENTRY_POINTS[entry](blocks)
+
+
+def test_uint8_bytes_are_held_without_a_copy():
+    # the sweep's campaigns share one read-only set of plaintexts and ciphertexts
+    blocks = np.arange(48, dtype=np.uint8).reshape(3, 16)
+    blocks.flags.writeable = False
+    ts = TraceSet(np.zeros((3, 1)), blocks, blocks[::-1])
+    for held, given in ((ts.plaintexts, blocks), (ts.ciphertexts, blocks[::-1])):
+        assert np.shares_memory(held, given) and not held.flags.writeable
+    assert aes._as_batch(blocks) is blocks

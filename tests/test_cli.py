@@ -351,6 +351,14 @@ def test_attack_all_bytes_rejects_evolution_csv(noisy_sctr, tmp_path, capsys):
     assert not evo.exists()
 
 
+@pytest.mark.parametrize("byte", [0, 3])
+def test_attack_all_bytes_rejects_byte(noisy_sctr, tmp_path, capsys, byte):
+    # --all-bytes attacks every byte, so an explicit --byte would be ignored
+    report = tmp_path / "all.json"
+    assert run("attack", noisy_sctr, "--all-bytes", "--byte", byte, "--report", report) == 1
+    assert "--byte would be ignored" in assert_json_error(capsys, report)
+
+
 @pytest.mark.parametrize("campaign", [["--n", 1], ["--n", 500, "--weight", 0]],
                          ids=["one-trace", "all-zero-samples"])
 def test_uninformative_campaign_is_an_error(tmp_path, capsys, campaign):

@@ -1,5 +1,5 @@
 """Smoke tests: every demo script and the README's library tour run to
-the end.
+the end; and the package stays under its line gate.
 
 Each demo is copied into a temporary directory first, so the CSVs it
 writes next to itself land there and not in ``demos/out``.
@@ -35,3 +35,10 @@ def test_readme_library_tour_runs():
     sk = namespace["sk"]
     # as the tour's comment says, the protected campaign never settles
     assert sk.cpa_attack(namespace["protected"], 0)[0].disclosure is None
+
+
+def test_package_stays_under_the_line_gate():
+    # ROADMAP item 6: the package keeps below 1632 lines
+    lines = sum(len(path.read_bytes().splitlines())
+                for path in (ROOT / "src" / "scakit").glob("*.py"))
+    assert lines < 1632

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scakit import aes
@@ -91,18 +91,6 @@ def test_single_trace_campaign():
     assert ts.n_traces == 1 and ts.samples_per_trace == 1
 
 
-def test_campaign_chunks_are_independent():
-    # whole chunks do not depend on n, so shorter campaigns are prefixes
-    config = LeakageConfig.equal_weights(1.0, noise_sigma=1.5,
-                                         augmentation=Augmentation(3, 5, 2.0))
-    full = simulate_campaign(KEY, 2 * CAMPAIGN_CHUNK + 123, config, seed=5)
-    for n in (CAMPAIGN_CHUNK, 2 * CAMPAIGN_CHUNK):
-        part = simulate_campaign(KEY, n, config, seed=5)
-        assert part.samples.tobytes() == full.samples[:n].tobytes()
-        assert part.plaintexts.tobytes() == full.plaintexts[:n].tobytes()
-        assert part.ciphertexts.tobytes() == full.ciphertexts[:n].tobytes()
-
-
 def test_campaign_peak_memory_stays_below_four_sample_matrices():
     config = LeakageConfig.equal_weights(1.0, noise_sigma=2.0, samples_per_trace=64,
                                          poi_index=10, augmentation=Augmentation(0, 2, 4.0))
@@ -121,18 +109,45 @@ augmentations = st.one_of(st.none(), st.builds(
     offset=st.floats(0, 20), trigger=st.sampled_from(Trigger)))
 
 
+seeds = st.integers(0, 2 ** 64 - 1)
+
+
 @st.composite
-def grid_cases(draw):
+def configs(draw):
     samples = draw(st.integers(1, 3))
-    config = LeakageConfig(
+    return LeakageConfig(
         bit_weights=np.array(draw(st.lists(st.floats(0, 4), min_size=128, max_size=128))),
         baseline=draw(st.floats(-100, 100)),
         noise_sigma=draw(st.floats(0, 8)),
         augmentation=draw(augmentations),
         samples_per_trace=samples,
         poi_index=draw(st.integers(0, samples - 1)))
+
+
+@st.composite
+def grid_cases(draw):
+    config = draw(configs())
     n = draw(st.integers(1, CAMPAIGN_CHUNK + 300))
-    return config, n, draw(st.integers(0, 2 ** 64 - 1)), draw(st.lists(augmentations, max_size=4))
+    return config, n, draw(seeds), draw(st.lists(augmentations, max_size=4))
+
+
+CHUNK_CASE_CONFIG = LeakageConfig.equal_weights(1.0, noise_sigma=1.5,
+                                                augmentation=Augmentation(3, 5, 2.0))
+
+
+@settings(max_examples=15, deadline=None)
+@given(config=configs(), seed=seeds, k=st.sampled_from([1, 2]),
+       extra=st.integers(1, CAMPAIGN_CHUNK))
+@example(config=CHUNK_CASE_CONFIG, seed=5, k=1, extra=CAMPAIGN_CHUNK + 123)
+@example(config=CHUNK_CASE_CONFIG, seed=5, k=2, extra=123)
+def test_campaign_chunks_are_independent(config, seed, k, extra):
+    # whole chunks do not depend on n, so shorter campaigns are prefixes
+    n = k * CAMPAIGN_CHUNK
+    full = simulate_campaign(KEY, n + extra, config, seed)
+    part = simulate_campaign(KEY, n, config, seed)
+    assert part.samples.tobytes() == full.samples[:n].tobytes()
+    assert part.plaintexts.tobytes() == full.plaintexts[:n].tobytes()
+    assert part.ciphertexts.tobytes() == full.ciphertexts[:n].tobytes()
 
 
 @settings(max_examples=15, deadline=None)
