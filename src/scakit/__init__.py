@@ -27,6 +27,7 @@ from .cpa import (
     CorrelationAccumulator,
     CorrelationEvolution,
     cpa_attack,
+    cpa_attack_sets,
     pearson,
     rank_of_guess,
     traces_to_disclosure,

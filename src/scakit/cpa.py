@@ -176,29 +176,7 @@ def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=100):
     the traces-to-disclosure count.  A set on which every guess scores 0
     (fewer than 2 traces, or samples that do not vary) raises ValueError.
     """
-    checkpoints = checkpoint_schedule(len(traces), checkpoint_stride)
-    return _cpa_attack(traces, byte_index, checkpoints,
-                       _hypotheses(traces.ciphertexts, byte_index, checkpoints))
-
-
-def _hypotheses(ciphertexts, byte_index, checkpoints):
-    """The attack's set-up: the (n, 256) hypothesis matrix of
-    ``ciphertexts`` and its ``sum_x`` and ``sum_xx`` at every checkpoint,
-    each an (n_checkpoints, 256) array.  The values are small integers,
-    so these float64 sums are exact, and campaigns that share
-    ciphertexts share the whole set-up."""
-    if len(ciphertexts) == 0:
-        raise ValueError("cannot attack an empty trace set")
-    hyp = aes.hypothesis_matrix(ciphertexts, byte_index)
-    sum_x = np.empty((len(checkpoints), 256))
-    sum_xx = np.empty_like(sum_x)
-    start = 0
-    for i, count in enumerate(checkpoints):
-        x = np.asarray(hyp[start:count], dtype=np.float64)
-        sum_x[i] = x.sum(axis=0)
-        sum_xx[i] = (x * x).sum(axis=0)
-        start = count
-    return hyp, np.cumsum(sum_x, axis=0), np.cumsum(sum_xx, axis=0)
+    return next(cpa_attack_sets([traces], byte_index, checkpoint_stride))
 
 
 # Upper bound on the (checkpoints, 256, samples) elements whose r is
@@ -206,53 +184,65 @@ def _hypotheses(ciphertexts, byte_index, checkpoints):
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _cpa_attack(traces, byte_index, checkpoints, hypotheses):
-    """:func:`cpa_attack` at ``checkpoints``, given the :func:`_hypotheses`
-    set-up of the traces' ciphertexts at the same checkpoints.
-
-    :func:`_add_samples` writes the sample-side sums at checkpoint ``i`` to
-    slot ``i % block`` as the slot before it plus the segment, the last slot
-    carrying them into the next block; r is then computed for a block of
-    checkpoints at a time, bit for bit as ``correlations`` would at each.
-    Every wide array is allocated once and reused at each checkpoint."""
-    hyp, sum_x, sum_xx = hypotheses
-    n_samples = traces.samples_per_trace
-    block = min(len(checkpoints), max(1, _BLOCK_ELEMENTS // (256 * n_samples)))
-    sum_y, sum_yy = np.zeros((2, block, n_samples))
-    sum_xy = np.zeros((block, 256, n_samples))
-    longest = int(np.diff(checkpoints, prepend=0).max())
-    x, (y, yy) = np.empty((longest, 256)), np.empty((2, longest, n_samples))
-    r, scratch = np.empty((2, block, 256, n_samples))
-    counts = np.asarray(checkpoints, dtype=np.float64)
-    values = np.empty((256, len(checkpoints)))
-    for i, (start, count) in enumerate(zip([0, *checkpoints], checkpoints)):
-        m = count - start
-        x[:m] = hyp[start:count]
-        y[:m] = traces.samples[start:count]
-        k = i % block   # this checkpoint's slot; slot k - 1 (the last, at k = 0) precedes it
-        _add_samples((sum_y[k - 1], sum_yy[k - 1], sum_xy[k - 1]), x[:m], y[:m],
-                     (sum_y[k], sum_yy[k], sum_xy[k]), yy[:m], scratch[0])   # scratch is free here
-        if k == block - 1 or i == len(checkpoints) - 1:
-            done, slots = slice(i - k, i + 1), slice(k + 1)
-            _correlations(counts[done], sum_x[done], sum_xx[done], sum_y[slots], sum_yy[slots],
-                          sum_xy[slots], r[slots], scratch[slots])
-            best_sample = np.abs(r[slots], out=scratch[slots]).argmax(axis=2)[..., None]
-            values[:, done] = np.take_along_axis(r[slots], best_sample, axis=2)[..., 0].T
-    evolution = CorrelationEvolution(np.array(checkpoints), values)
-
-    scores = np.abs(values[:, -1])
-    if not scores.any():
-        raise ValueError("every key guess scores 0, so no key can be ranked: the attack "
-                         "needs at least 2 traces and samples that vary across them")
-    ranking = np.lexsort((np.arange(256), -scores))
-    correct = disclosure = None
-    if traces.true_key is not None:
-        correct = aes.correct_last_round_guess(traces.true_key, byte_index)
-        disclosure = traces_to_disclosure(evolution, correct)
-    result = AttackResult(byte_index=byte_index, best_guess=int(ranking[0]),
-                          ranking=ranking, scores=scores, disclosure=disclosure,
-                          correct_guess=correct)
-    return result, evolution
+def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=100):
+    """Yield :func:`cpa_attack` of each of ``trace_sets``, which share their
+    ciphertexts as ``simulate_offset_grid``'s do; a later set with other
+    ciphertexts raises ValueError.  The checkpoints, the hypothesis matrix
+    and its sums come from the first set: its walk sums each segment,
+    widened into the float64 buffer ``x``, squares ``x`` in place and sums
+    again, exactly, as x holds integers 0..8.  :func:`_add_samples` writes
+    the sample-side sums at checkpoint ``i`` to slot ``i % block`` as the
+    slot before it plus the segment, the last slot carrying them into the
+    next block; r is then computed for a block of checkpoints at a time,
+    bit for bit as ``correlations`` would."""
+    ciphertexts = None
+    for traces in trace_sets:
+        first = ciphertexts is None
+        if first:
+            checkpoints = checkpoint_schedule(len(traces), checkpoint_stride)
+            if len(traces) == 0:
+                raise ValueError("cannot attack an empty trace set")
+            ciphertexts = traces.ciphertexts
+            hyp = aes.hypothesis_matrix(ciphertexts, byte_index)
+            sum_x, sum_xx = np.zeros((2, len(checkpoints), 256))
+        elif not np.array_equal(traces.ciphertexts, ciphertexts):
+            raise ValueError("the trace sets of an offset grid must share their ciphertexts")
+        n_samples, longest = traces.samples_per_trace, min(checkpoint_stride, len(traces))
+        block = min(len(checkpoints), max(1, _BLOCK_ELEMENTS // (256 * n_samples)))
+        sum_y, sum_yy = np.zeros((2, block, n_samples))
+        sum_xy = np.zeros((block, 256, n_samples))
+        x, (y, yy) = np.empty((longest, 256)), np.empty((2, longest, n_samples))
+        r, scratch = np.empty((2, block, 256, n_samples))   # scratch[0] also takes x.T @ y
+        values = np.empty((256, len(checkpoints)))
+        for i, (start, count) in enumerate(zip([0, *checkpoints], checkpoints)):
+            m = count - start
+            x[:m] = hyp[start:count]
+            y[:m] = traces.samples[start:count]
+            k = i % block   # this checkpoint's slot; slot k - 1 (the last, at k = 0) precedes it
+            _add_samples((sum_y[k - 1], sum_yy[k - 1], sum_xy[k - 1]), x[:m], y[:m],
+                         (sum_y[k], sum_yy[k], sum_xy[k]), yy[:m], scratch[0])
+            if first:   # row i - 1 (the last) is still 0 at i = 0
+                sum_x[i] = sum_x[i - 1] + x[:m].sum(axis=0)
+                sum_xx[i] = sum_xx[i - 1] + np.square(x[:m], out=x[:m]).sum(axis=0)
+            if k == block - 1 or i == len(checkpoints) - 1:
+                done, slots = slice(i - k, i + 1), slice(k + 1)
+                _correlations(np.array(checkpoints[done], float), sum_x[done], sum_xx[done],
+                              sum_y[slots], sum_yy[slots], sum_xy[slots], r[slots], scratch[slots])
+                best_sample = np.abs(r[slots], out=scratch[slots]).argmax(axis=2)[..., None]
+                values[:, done] = np.take_along_axis(r[slots], best_sample, axis=2)[..., 0].T
+        evolution = CorrelationEvolution(np.array(checkpoints), values)
+        scores = np.abs(values[:, -1])
+        if not scores.any():
+            raise ValueError("every key guess scores 0, so no key can be ranked: the attack "
+                             "needs at least 2 traces and samples that vary across them")
+        ranking = np.lexsort((np.arange(256), -scores))
+        correct = disclosure = None
+        if traces.true_key is not None:
+            correct = aes.correct_last_round_guess(traces.true_key, byte_index)
+            disclosure = traces_to_disclosure(evolution, correct)
+        del sum_y, sum_yy, sum_xy, x, y, yy, r, scratch   # not held while the caller works
+        yield AttackResult(byte_index=byte_index, best_guess=int(ranking[0]), ranking=ranking,
+                           scores=scores, disclosure=disclosure, correct_guess=correct), evolution
 
 
 def traces_to_disclosure(evolution: CorrelationEvolution, correct_guess) -> int | None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aes
-from .cpa import _cpa_attack, _hypotheses, checkpoint_schedule, pearson
+from .cpa import cpa_attack_sets, pearson
 from .traces import TraceSet
 
 
@@ -132,22 +132,15 @@ def attack_offset_grid(trace_sets, byte_index, correct_guess, checkpoint_stride=
                        sample_index=0):
     """Yield ``(AttackResult, wrong_horses)`` per trace set, as
     :func:`~scakit.cpa.cpa_attack` and :func:`wrong_horse_scan` give them.
-
-    The sets share their ciphertexts, as ``simulate_offset_grid``'s do, so
-    the CPA set-up and the pair classes are built once, from the first;
-    a later set with other ciphertexts raises ValueError.
+    :func:`~scakit.cpa.cpa_attack_sets` attacks the sets, which share their
+    ciphertexts; the pair classes are built once, from the first.
     """
     aes._check_guess(correct_guess)
-    ciphertexts = None
-    for traces in trace_sets:
-        if ciphertexts is None:
-            ciphertexts = traces.ciphertexts
-            checkpoints = checkpoint_schedule(len(traces), checkpoint_stride)
-            hypotheses = _hypotheses(ciphertexts, byte_index, checkpoints)
-            pairs = _pair_classes(ciphertexts, byte_index)
-        elif not np.array_equal(traces.ciphertexts, ciphertexts):
-            raise ValueError("the trace sets of an offset grid must share their ciphertexts")
-        result, _ = _cpa_attack(traces, byte_index, checkpoints, hypotheses)
+    taken = []   # the set cpa_attack_sets has taken, held until its scan
+    pairs, sets = None, (taken.append(traces) or traces for traces in trace_sets)
+    for result, _ in cpa_attack_sets(sets, byte_index, checkpoint_stride):
+        traces = taken.pop()
+        pairs = pairs or _pair_classes(traces.ciphertexts, byte_index)
         yield result, _wrong_horses(pairs, _sample(traces, sample_index), correct_guess)
 
 

@@ -105,15 +105,26 @@ def toggle_bits(round9, ciphertext) -> np.ndarray:
     return np.unpackbits(np.asarray(round9) ^ np.asarray(ciphertext), axis=1, bitorder="little")
 
 
-def _augment(poi, toggles, aug):
-    """Subtract the augmentation offset, in place, from the float64 POI
-    column ``poi`` of the traces whose toggle bytes fire its trigger."""
+def _float32(values):
+    """``values`` as float32; one that overflows it, or overflowed float64, is a ValueError."""
+    with np.errstate(over="ignore"):   # reported below
+        values = values.astype(np.float32)
+    if not np.isfinite(values.sum(dtype=np.float64)):   # exact: float32 sums never overflow
+        raise ValueError("simulated samples overflow float32: lower the baseline, the noise "
+                         "sigma, the bit weights or the augmentation offset")
+    return values
+
+
+def _augmented_poi(poi, toggles, aug):
+    """The float64 POI column ``poi`` as float32, less the offset where ``aug`` fires."""
     if aug is not None:
         bit = ((toggles[:, aug.byte_index] >> aug.bit_index) & 1).astype(np.float64)
         fires = bit if aug.trigger is Trigger.ON_TOGGLE else 1.0 - bit
-        poi -= aug.offset * fires
+        poi = poi - aug.offset * fires
+    return _float32(poi)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # float64 overflow too: _float32 reports it
 def _base_chunk(key, n, config, seed, chunk_index):
     """Chunk ``chunk_index`` of the campaign before augmentation, drawn
     from its own (seed, chunk) substream: float32 samples, the float64 POI
@@ -127,7 +138,7 @@ def _base_chunk(key, n, config, seed, chunk_index):
     samples += config.baseline
     round9, cts = aes.last_round_states_batch(key, pts)
     samples[:, config.poi_index] -= toggle_bits(round9, cts) @ config.bit_weights
-    return samples.astype(np.float32), samples[:, config.poi_index].copy(), round9 ^ cts, pts, cts
+    return _float32(samples), samples[:, config.poi_index].copy(), round9 ^ cts, pts, cts
 
 
 def simulate_offset_grid(key, n, config: LeakageConfig, seed, augmentations):
@@ -140,17 +151,14 @@ def simulate_offset_grid(key, n, config: LeakageConfig, seed, augmentations):
     """
     if n < 1:
         raise ValueError(f"campaign needs n >= 1 traces, got {n}")
-    poi_index = config.poi_index
     parts = [_base_chunk(key, n, config, seed, c) for c in range(math.ceil(n / CAMPAIGN_CHUNK))]
     base, poi, toggles, pts, cts = (np.concatenate(arrays) for arrays in zip(*parts))
     del parts
     pts.flags.writeable = cts.flags.writeable = False   # shared by every yielded set
     true_key = aes.as_block(key)
     for augmentation in augmentations:
-        column = poi.copy()
-        _augment(column, toggles, augmentation)
         samples = base.copy()
-        samples[:, poi_index] = column.astype(np.float32)
+        samples[:, config.poi_index] = _augmented_poi(poi, toggles, augmentation)
         yield TraceSet(samples, pts, cts, true_key=true_key, seed=seed)
 
 

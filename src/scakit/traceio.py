@@ -28,6 +28,7 @@ Two formats are supported:
 
 import contextlib
 import csv
+import io
 import os
 import struct
 
@@ -166,7 +167,14 @@ def import_raw(samples_path, meta_path, samples_per_trace=None) -> TraceSet:
     if samples_per_trace is not None and samples_per_trace < 1:
         raise TraceImportError(f"samples_per_trace must be >= 1, got {samples_per_trace}: "
                                "traces cannot have zero samples or fewer")
-    with open(meta_path, newline="", encoding="utf-8-sig") as fh:
+    with open(meta_path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode()   # to name the row of a byte that is not UTF-8
+    except UnicodeDecodeError as exc:
+        row = len(data[:exc.start + 1].splitlines()) - 1
+        raise TraceImportError(f"{meta_path}: row {row}: not UTF-8 text: {exc}") from None
+    with io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -165,9 +168,11 @@ def test_sweep_grid_errors_name_their_flag(tmp_path, capsys, flag, value, kind):
 
 
 def test_cli_imports_no_private_names():
-    # The CLI drives the library through its public API only.
-    tree = ast.parse(Path(cli.__file__).read_text())
-    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+    # The CLI drives the library, and each module the others, through
+    # their public names only.
+    private = [f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+               for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.ImportFrom) for alias in node.names
                if alias.name.startswith("_")]
     assert private == []
@@ -284,6 +289,20 @@ def test_simulate_rejects_non_finite_parameters(tmp_path, capsys, flag):
         assert run("simulate", "--n", 4, f"{flag}={value}", "-o", out) == 1
         assert "finite" in json.loads(capsys.readouterr().err)["error"]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--baseline", "1e39"],
+    ["simulate", "--sigma", "1e308"],
+    ["simulate", "--weight", "1e300"],
+    ["simulate", "--weight", "1e307"],   # past float64's range before the cast
+    ["sweep", "--offsets", "0,1e39", "--bits", "2"],
+], ids=["baseline", "sigma", "weight", "weight-float64", "sweep-offset"])
+def test_samples_past_float32_are_one_json_error(tmp_path, capsys, argv):
+    out = tmp_path / "x.out"
+    assert run(*argv, "--n", 50, "-o", out) == 1
+    error = assert_json_error(capsys, out)
+    assert "float32" in error and "baseline" in error and "offset" in error
 
 
 def test_attack_report_and_evolution_csv(noisy_sctr, tmp_path, capsys):
@@ -522,6 +541,20 @@ def test_convert_accepts_a_byte_order_mark(tmp_path, capsys):
     assert bom.read_bytes() == plain.read_bytes()
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+def test_convert_names_the_row_that_is_not_utf8(tmp_path, capsys, bom):
+    ts = simulate_campaign(KEY, 3, LeakageConfig.equal_weights(1.0), seed=2)
+    raw, meta, out = tmp_path / "dump.f32", tmp_path / "dump.csv", tmp_path / "x.sctr"
+    export_raw(ts, raw, meta)
+    header, row1, row2, row3 = meta.read_bytes().splitlines(keepends=True)
+    meta.write_bytes(bom + header + row1 + b"\xff" + row2[1:] + row3)
+    assert run("convert", raw, meta, "-o", out) == 1
+    position = len(bom + header + row1)
+    assert assert_json_error(capsys, out) == (
+        f"{meta}: row 2: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position "
+        f"{position}: invalid start byte")
+
+
 def test_convert_mismatch_fails(tmp_path, capsys):
     raw = tmp_path / "r.f32"
     meta = tmp_path / "r.csv"
@@ -593,3 +626,39 @@ def test_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(tmp_path.iterdir())}
     assert digests == RECORDED_DIGESTS
+
+
+# Runs each argv of the JSON list it is given through cli.main, in one
+# process; the exit code counts the commands that failed.
+_COMMANDS_SCRIPT = ("import json, sys; from scakit.cli import main; "
+                    "sys.exit(sum(main(argv) != 0 for argv in json.loads(sys.argv[1])))")
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # S=300 at a stride of 140 makes each checkpoint's x.T @ y a 256 x 140 x 300
+    # product, past the 4 * 65536 multiply-adds below which OpenBLAS keeps a
+    # product on one thread.
+    noise = ["--key", KEY, "--sigma", "4"]
+    commands = [
+        ["simulate", *noise, "--n", "1500", "--samples", "300", "--poi", "150", "--seed", "4",
+         "-o", "wide.sctr"],
+        ["attack", "wide.sctr", "--stride", "140", "--report", "wide.json",
+         "--evolution-csv", "wide_evolution.csv"],
+        ["sweep", *noise, "--n", "2000", "--seed", "3", "--offsets", "0,8", "--bits", "2",
+         "-o", "sweep.csv"],
+    ]
+    src = str(Path(cli.__file__).parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        work = tmp_path / threads
+        work.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", _COMMANDS_SCRIPT, json.dumps(commands)],
+                              cwd=work, env=env, capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
+        outputs.append({"stdout": done.stdout, "stderr": done.stderr,
+                        **{path.name: path.read_bytes() for path in sorted(work.iterdir())}})
+    assert sorted(outputs[0]) == ["stderr", "stdout", "sweep.csv", "wide.json",
+                                  "wide.sctr", "wide_evolution.csv"]
+    assert outputs[0] == outputs[1]

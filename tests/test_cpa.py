@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from scakit import aes
 from scakit.cpa import (
-    _cpa_attack,
-    _hypotheses,
     AttackResult,
     CorrelationAccumulator,
     CorrelationEvolution,
     checkpoint_schedule,
     cpa_attack,
+    cpa_attack_sets,
     pearson,
     rank_of_guess,
     traces_to_disclosure,
@@ -247,15 +246,30 @@ def test_batched_evolution_equals_accumulator_loop(n, samples, stride, sigma, ba
 
 
 def test_campaigns_sharing_ciphertexts_share_x_sums():
+    # the later sets reuse the x sums of the first set's walk, bit for bit
     config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=2)
-    augmentations = [Augmentation(0, 2, 0.0), Augmentation(0, 5, 6.0)]
-    checkpoints = checkpoint_schedule(2501, 100)
-    hypotheses = None
-    for traces in simulate_offset_grid(KEY, 2501, config, 8, augmentations):
-        hypotheses = hypotheses or _hypotheses(traces.ciphertexts, 0, checkpoints)
-        _, evolution = _cpa_attack(traces, 0, checkpoints, hypotheses)
-        expected = accumulator_evolution(traces, 0, checkpoints)
+    augmentations = [Augmentation(0, 2, 0.0), Augmentation(0, 5, 6.0), None]
+    grid = list(simulate_offset_grid(KEY, 2501, config, 8, augmentations))
+    evolutions = [evolution for _, evolution in cpa_attack_sets(grid, 0, 100)]
+    assert len(evolutions) == len(grid)
+    for traces, evolution in zip(grid, evolutions):
+        expected = accumulator_evolution(traces, 0, checkpoint_schedule(2501, 100))
         assert evolution.values.tobytes() == expected.tobytes()
+
+
+def test_attack_sets_reject_an_empty_first_set_and_other_ciphertexts():
+    empty = TraceSet(np.zeros((0, 1)), np.zeros((0, 16)), np.zeros((0, 16)))
+    with pytest.raises(ValueError, match="cannot attack an empty trace set"):
+        next(cpa_attack_sets([empty], 0))
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=1.0)
+    first = simulate_campaign(KEY, 500, config, seed=1)
+    for other in (simulate_campaign(KEY, 500, config, seed=2),    # other plaintexts
+                  simulate_campaign(KEY, 400, config, seed=1),    # fewer traces
+                  empty):
+        attacks = cpa_attack_sets([first, other], 0)
+        next(attacks)
+        with pytest.raises(ValueError, match="must share their ciphertexts"):
+            next(attacks)
 
 
 def test_attack_is_invariant_under_trace_permutation():
