@@ -47,10 +47,8 @@ class CorrelationAccumulator:
 
     def __init__(self, n_guesses=256, n_samples=1):
         self.n = 0
-        self.sum_x = np.zeros(n_guesses)
-        self.sum_xx = np.zeros(n_guesses)
-        self.sum_y = np.zeros(n_samples)
-        self.sum_yy = np.zeros(n_samples)
+        self.sum_x, self.sum_xx = np.zeros((2, n_guesses))
+        self.sum_y, self.sum_yy = np.zeros((2, n_samples))
         self.sum_xy = np.zeros((n_guesses, n_samples))
 
     def update(self, hypotheses, samples):
@@ -65,8 +63,9 @@ class CorrelationAccumulator:
         self.n += len(x)
         self.sum_x += x.sum(axis=0)
         self.sum_xx += (x * x).sum(axis=0)
-        sums = (self.sum_y, self.sum_yy, self.sum_xy)
-        _add_samples(sums, x, y, sums)
+        out = [*np.empty((2, 1, y.shape[1])), (x.T @ y)[None]]
+        _add_samples((self.sum_y, self.sum_yy, self.sum_xy), y, max(len(y), 1), out)
+        self.sum_y, self.sum_yy, self.sum_xy = (total[0] for total in out)
 
     def merge(self, other) -> "CorrelationAccumulator":
         """Absorb another accumulator built over disjoint traces."""
@@ -87,13 +86,21 @@ class CorrelationAccumulator:
                              self.sum_yy, self.sum_xy)
 
 
-def _add_samples(sums, x, y, out, yy=None, xy=None):
-    """Write the sample-side sums ``(sum_y, sum_yy, sum_xy)`` plus those of the
-    float64 batch ``x``, ``y`` into ``out``, which may be ``sums`` itself;
-    ``yy`` and ``xy``, if given, receive ``y * y`` and ``x.T @ y``."""
-    parts = y.sum(axis=0), np.multiply(y, y, out=yy).sum(axis=0), np.matmul(x.T, y, out=xy)
-    for total, part, dest in zip(sums, parts, out):
-        np.add(total, part, out=dest)
+def _add_samples(carry, y, stride, out, yy=None):
+    """Running sums ``out = (sum_y, sum_yy[, sum_xy])`` at the end of each
+    ``stride``-row segment of the batch ``y`` (..., m, S), the last maybe
+    shorter, on a segment axis in place of y's row axis: ``carry`` plus the
+    segments in order; ``sum_xy`` comes in holding each segment's x.T @ y."""
+    axis, full = y.ndim - 2, y.shape[-2] // stride
+    shape, first = (*y.shape[:axis], full, stride, y.shape[-1]), (slice(None),) * axis + (0,)
+    for part, dest in zip((y, np.multiply(y, y, out=yy)), out):
+        part[..., :full * stride, :].reshape(shape).sum(axis=axis + 1, out=dest[..., :full, :])
+        if full < dest.shape[axis]:
+            part[..., full * stride:, :].sum(axis=axis, out=dest[..., full, :])
+    for total, dest in zip(carry, out):
+        np.add(total, dest[first], out=dest[first])
+        if dest.shape[axis] > 1:
+            np.cumsum(dest, axis=axis, out=dest)
 
 
 def _correlations(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out=None, scratch=None):
@@ -179,70 +186,92 @@ def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=100):
     return next(cpa_attack_sets([traces], byte_index, checkpoint_stride))
 
 
-# Upper bound on the (checkpoints, 256, samples) elements whose r is
-# computed in one pass, so memory does not grow with the checkpoint count.
-_BLOCK_ELEMENTS = 1 << 16
+# Upper bounds, whatever the checkpoint count, on the (sets, checkpoints, 256,
+# samples) elements whose r is computed at once and a group's evolution elements.
+_BLOCK_ELEMENTS, _GROUP_ELEMENTS = 1 << 16, 1 << 20
 
 
 def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=100):
     """Yield :func:`cpa_attack` of each of ``trace_sets``, which share their
     ciphertexts as ``simulate_offset_grid``'s do; a later set with other
-    ciphertexts raises ValueError.  The checkpoints, the hypothesis matrix
-    and its sums come from the first set: its walk sums each segment,
-    widened into the float64 buffer ``x``, squares ``x`` in place and sums
-    again, exactly, as x holds integers 0..8.  :func:`_add_samples` writes
-    the sample-side sums at checkpoint ``i`` to slot ``i % block`` as the
-    slot before it plus the segment, the last slot carrying them into the
-    next block; r is then computed for a block of checkpoints at a time,
-    bit for bit as ``correlations`` would."""
-    ciphertexts = None
-    for traces in trace_sets:
-        first = ciphertexts is None
-        if first:
-            checkpoints = checkpoint_schedule(len(traces), checkpoint_stride)
-            if len(traces) == 0:
-                raise ValueError("cannot attack an empty trace set")
-            ciphertexts = traces.ciphertexts
-            hyp = aes.hypothesis_matrix(ciphertexts, byte_index)
-            sum_x, sum_xx = np.zeros((2, len(checkpoints), 256))
-        elif not np.array_equal(traces.ciphertexts, ciphertexts):
-            raise ValueError("the trace sets of an offset grid must share their ciphertexts")
-        n_samples, longest = traces.samples_per_trace, min(checkpoint_stride, len(traces))
-        block = min(len(checkpoints), max(1, _BLOCK_ELEMENTS // (256 * n_samples)))
-        sum_y, sum_yy = np.zeros((2, block, n_samples))
-        sum_xy = np.zeros((block, 256, n_samples))
-        x, (y, yy) = np.empty((longest, 256)), np.empty((2, longest, n_samples))
-        r, scratch = np.empty((2, block, 256, n_samples))   # scratch[0] also takes x.T @ y
-        values = np.empty((256, len(checkpoints)))
-        for i, (start, count) in enumerate(zip([0, *checkpoints], checkpoints)):
-            m = count - start
-            x[:m] = hyp[start:count]
-            y[:m] = traces.samples[start:count]
-            k = i % block   # this checkpoint's slot; slot k - 1 (the last, at k = 0) precedes it
-            _add_samples((sum_y[k - 1], sum_yy[k - 1], sum_xy[k - 1]), x[:m], y[:m],
-                         (sum_y[k], sum_yy[k], sum_xy[k]), yy[:m], scratch[0])
-            if first:   # row i - 1 (the last) is still 0 at i = 0
-                sum_x[i] = sum_x[i - 1] + x[:m].sum(axis=0)
-                sum_xx[i] = sum_xx[i - 1] + np.square(x[:m], out=x[:m]).sum(axis=0)
-            if k == block - 1 or i == len(checkpoints) - 1:
-                done, slots = slice(i - k, i + 1), slice(k + 1)
-                _correlations(np.array(checkpoints[done], float), sum_x[done], sum_xx[done],
-                              sum_y[slots], sum_yy[slots], sum_xy[slots], r[slots], scratch[slots])
-                best_sample = np.abs(r[slots], out=scratch[slots]).argmax(axis=2)[..., None]
-                values[:, done] = np.take_along_axis(r[slots], best_sample, axis=2)[..., 0].T
-        evolution = CorrelationEvolution(np.array(checkpoints), values)
-        scores = np.abs(values[:, -1])
-        if not scores.any():
-            raise ValueError("every key guess scores 0, so no key can be ranked: the attack "
-                             "needs at least 2 traces and samples that vary across them")
-        ranking = np.lexsort((np.arange(256), -scores))
-        correct = disclosure = None
-        if traces.true_key is not None:
-            correct = aes.correct_last_round_guess(traces.true_key, byte_index)
-            disclosure = traces_to_disclosure(evolution, correct)
-        del sum_y, sum_yy, sum_xy, x, y, yy, r, scratch   # not held while the caller works
-        yield AttackResult(byte_index=byte_index, best_guess=int(ranking[0]), ranking=ranking,
-                           scores=scores, disclosure=disclosure, correct_guess=correct), evolution
+    ciphertexts raises ValueError once the sets before it are yielded.
+
+    A group of sets (:func:`_groups`) is walked in lock-step.  Per block of
+    checkpoints the hypothesis segment is built from the ciphertexts and, at
+    each checkpoint, widened once into the float64 buffer ``x`` for every
+    set's ``x.T @ y``; :func:`_add_samples` folds the block into running sums
+    and r comes for the whole group at once, bit for bit as ``correlations``
+    gives it.  The x-side sums are taken from ``x``, exactly, as x is 0..8."""
+    for checkpoints, group in _groups(trace_sets, checkpoint_stride):
+        cts, n_samples, starts = group[0].ciphertexts, group[0].samples_per_trace, [0, *checkpoints]
+        block = min(len(checkpoints), max(1, _BLOCK_ELEMENTS // (256 * n_samples * len(group))))
+        # (sum_x, sum_xx); (sum_y, sum_yy) and sum_xy per block parity, the other parity's xy is r
+        x_sums, sums = np.zeros((2, block, 256)), np.zeros((2, 2, len(group), block, n_samples))
+        xy = np.zeros((2, len(group), block, 256, n_samples))
+        x, scratch = np.empty((min(checkpoint_stride, len(cts)), 256)), np.empty_like(xy[0])
+        y, yy = np.empty((2, len(group), min(block * checkpoint_stride, len(cts)), n_samples))
+        values = np.empty((len(group), 256, len(checkpoints)))
+        for i in range(0, len(checkpoints), block):
+            done, p, lo = slice(i, min(i + block, len(checkpoints))), i // block % 2, starts[i]
+            k, hi = done.stop - i, checkpoints[done.stop - 1]
+            hyp = aes.hypothesis_matrix(cts[lo:hi], byte_index)
+            for g, traces in enumerate(group):
+                y[g, :hi - lo] = traces.samples[lo:hi]
+            out = (*sums[p][:, :, :k], xy[p][:, :k])
+            for slot, (start, count) in enumerate(zip(starts[done], checkpoints[done])):
+                seg = x[:count - start]
+                seg[:] = hyp[start - lo:count - lo]
+                np.matmul(seg.T, y[:, start - lo:count - lo], out=out[2][:, slot])
+                parts = seg.sum(axis=0), np.square(seg, out=seg).sum(axis=0)
+                np.add(x_sums[:, slot - 1], parts, out=x_sums[:, slot])   # row -1: the block before
+            carry = (*sums[1 - p][:, :, -1], xy[1 - p][:, -1])   # the block before's last sums
+            _add_samples(carry, y[:, :hi - lo], checkpoint_stride, out, yy[:, :hi - lo])
+            r = _correlations(np.array(checkpoints[done], float), *x_sums[:, :k], *out,
+                              xy[1 - p][:, :k], scratch[:, :k])
+            if n_samples > 1:   # r at each guess's sample of largest |r|
+                r = np.take_along_axis(r, np.abs(r, out=scratch[:, :k]).argmax(-1)[..., None], -1)
+            values[..., done] = r[..., 0].swapaxes(1, 2)
+        del xy, scratch, x, y, yy, hyp, out, carry, r   # not held while the caller works
+        keys = [None if traces.true_key is None else traces.true_key.tobytes() for traces in group]
+        correct = {key: aes.correct_last_round_guess(key, byte_index) for key in set(keys) - {None}}
+        for curves, key in zip(values, keys):
+            evolution, scores = CorrelationEvolution(checkpoints, curves), np.abs(curves[:, -1])
+            if not scores.any():
+                raise ValueError("every key guess scores 0, so no key can be ranked: the attack "
+                                 "needs at least 2 traces and samples that vary across them")
+            ranking, guess = np.lexsort((np.arange(256), -scores)), correct.get(key)
+            disclosure = None if guess is None else traces_to_disclosure(evolution, guess)
+            yield AttackResult(byte_index=byte_index, best_guess=int(ranking[0]), ranking=ranking,
+                               scores=scores, disclosure=disclosure, correct_guess=guess), evolution
+
+
+def _groups(trace_sets, stride):
+    """Yield ``(checkpoints, group)``: the trace sets, which share the first
+    one's ciphertexts, in runs of one sample count within both budgets.  A set
+    that cannot be taken ends its group, which is yielded before the error."""
+    group, shared = [], None
+    try:
+        for traces in trace_sets:
+            if shared is None:
+                checkpoints, shared = checkpoint_schedule(len(traces), stride), traces.ciphertexts
+                if len(traces) == 0:
+                    raise ValueError("cannot attack an empty trace set")
+            elif not np.array_equal(traces.ciphertexts, shared):
+                raise ValueError("the trace sets of an offset grid must share their ciphertexts")
+            if group and traces.samples_per_trace != group[0].samples_per_trace:
+                yield checkpoints, group
+                group.clear()
+            group.append(traces)
+            if len(group) >= min(_BLOCK_ELEMENTS // traces.samples_per_trace,
+                                 _GROUP_ELEMENTS // len(checkpoints)) // 256:
+                yield checkpoints, group
+                group.clear()
+    except Exception:
+        if group:
+            yield checkpoints, group
+        raise
+    if group:
+        yield checkpoints, group
 
 
 def traces_to_disclosure(evolution: CorrelationEvolution, correct_guess) -> int | None:

@@ -24,6 +24,7 @@ degenerate samples (constant, or noise far below the baseline), where
 every guess is re-scored.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,13 +134,13 @@ def attack_offset_grid(trace_sets, byte_index, correct_guess, checkpoint_stride=
     """Yield ``(AttackResult, wrong_horses)`` per trace set, as
     :func:`~scakit.cpa.cpa_attack` and :func:`wrong_horse_scan` give them.
     :func:`~scakit.cpa.cpa_attack_sets` attacks the sets, which share their
-    ciphertexts; the pair classes are built once, from the first.
+    ciphertexts, a group at a time; the pair classes are built once, from the first.
     """
     aes._check_guess(correct_guess)
-    taken = []   # the set cpa_attack_sets has taken, held until its scan
+    taken = deque()   # the sets cpa_attack_sets has taken, first in, first out
     pairs, sets = None, (taken.append(traces) or traces for traces in trace_sets)
     for result, _ in cpa_attack_sets(sets, byte_index, checkpoint_stride):
-        traces = taken.pop()
+        traces = taken.popleft()
         pairs = pairs or _pair_classes(traces.ciphertexts, byte_index)
         yield result, _wrong_horses(pairs, _sample(traces, sample_index), correct_guess)
 

@@ -125,18 +125,18 @@ def _augmented_poi(poi, toggles, aug):
 
 
 @np.errstate(over="ignore", invalid="ignore")   # float64 overflow too: _float32 reports it
-def _base_chunk(key, n, config, seed, chunk_index):
-    """Chunk ``chunk_index`` of the campaign before augmentation, drawn
-    from its own (seed, chunk) substream: float32 samples, the float64 POI
-    column, toggle bytes, plaintexts and ciphertexts.  Its float64
-    temporaries are freed on return."""
+def _base_chunk(round_keys, n, config, seed, chunk_index):
+    """Chunk ``chunk_index`` of the campaign before augmentation, under the
+    expanded key ``round_keys``, drawn from its own (seed, chunk) substream:
+    float32 samples, the float64 POI column, toggle bytes, plaintexts and
+    ciphertexts.  Its float64 temporaries are freed on return."""
     lo = chunk_index * CAMPAIGN_CHUNK
     m = min(n, lo + CAMPAIGN_CHUNK) - lo
     rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
     pts = rng.integers(0, 256, size=(m, 16), dtype=np.uint8)
     samples = rng.normal(0.0, config.noise_sigma, size=(m, config.samples_per_trace))
     samples += config.baseline
-    round9, cts = aes.last_round_states_batch(key, pts)
+    round9, cts = aes._encrypt_states(round_keys, pts)
     samples[:, config.poi_index] -= toggle_bits(round9, cts) @ config.bit_weights
     return _float32(samples), samples[:, config.poi_index].copy(), round9 ^ cts, pts, cts
 
@@ -151,11 +151,11 @@ def simulate_offset_grid(key, n, config: LeakageConfig, seed, augmentations):
     """
     if n < 1:
         raise ValueError(f"campaign needs n >= 1 traces, got {n}")
-    parts = [_base_chunk(key, n, config, seed, c) for c in range(math.ceil(n / CAMPAIGN_CHUNK))]
+    true_key, keys = aes.as_block(key), aes.expand_key(key)   # the cipher key and its round keys
+    parts = [_base_chunk(keys, n, config, seed, c) for c in range(math.ceil(n / CAMPAIGN_CHUNK))]
     base, poi, toggles, pts, cts = (np.concatenate(arrays) for arrays in zip(*parts))
     del parts
     pts.flags.writeable = cts.flags.writeable = False   # shared by every yielded set
-    true_key = aes.as_block(key)
     for augmentation in augmentations:
         samples = base.copy()
         samples[:, config.poi_index] = _augmented_poi(poi, toggles, augmentation)

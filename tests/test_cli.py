@@ -508,7 +508,7 @@ def test_sweep_validates_grid_before_simulating(tmp_path, monkeypatch, capsys, f
     def never(*args, **kwargs):
         raise AssertionError("the sweep simulated before validating its grid")
     monkeypatch.setattr(cli, "simulate_offset_grid", never)
-    monkeypatch.setattr(aes, "last_round_states_batch", never)
+    monkeypatch.setattr(aes, "_encrypt_states", never)
     argv = ["sweep", "--n", 2000, "--offsets", "0,2", *flags, "-o", tmp_path / "s.csv"]
     assert run(*argv) == 1
     assert "error" in json.loads(capsys.readouterr().err)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scakit import aes
+from scakit import aes, cpa
 from scakit.cpa import (
     AttackResult,
     CorrelationAccumulator,
@@ -255,6 +255,38 @@ def test_campaigns_sharing_ciphertexts_share_x_sums():
     for traces, evolution in zip(grid, evolutions):
         expected = accumulator_evolution(traces, 0, checkpoint_schedule(2501, 100))
         assert evolution.values.tobytes() == expected.tobytes()
+
+
+def test_lockstep_groups_keep_each_evolution_and_the_error_contract(monkeypatch):
+    # Budgets of two S=2 sets a group and 8 checkpoints a block walk a
+    # 5-point grid as groups of 2, 2 and 1, in blocks of 8, 8 and 5
+    # checkpoints (16 and 5 for the last group); n is not a multiple of
+    # the stride.
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=2)
+    augmentations = [None, *(Augmentation(0, bit, 6.0) for bit in (1, 2, 5, 7))]
+    grid = list(simulate_offset_grid(KEY, 2050, config, 9, augmentations))
+    checkpoints = checkpoint_schedule(2050, 100)
+    monkeypatch.setattr(cpa, "_GROUP_ELEMENTS", 2 * 256 * len(checkpoints))
+    monkeypatch.setattr(cpa, "_BLOCK_ELEMENTS", 8 * 2 * 256 * 2)
+    assert [len(group) for _, group in cpa._groups(grid, 100)] == [2, 2, 1]
+    attacks = list(cpa_attack_sets(grid, 0, 100))
+    assert len(attacks) == len(grid)
+    for traces, (_, evolution) in zip(grid, attacks):
+        expected = accumulator_evolution(traces, 0, checkpoints)
+        assert evolution.values.tobytes() == expected.tobytes()
+    # A set with other ciphertexts, starting a group or inside one: the sets
+    # before it are walked and yielded, then the error is raised.
+    other = simulate_campaign(KEY, 2050, config, seed=10)
+    for bad in (2, 3):
+        sets = list(grid)
+        sets[bad] = TraceSet(grid[bad].samples, other.plaintexts, other.ciphertexts)
+        attacks = cpa_attack_sets(sets, 0, 100)
+        for traces in sets[:bad]:
+            _, evolution = next(attacks)
+            expected = accumulator_evolution(traces, 0, checkpoints)
+            assert evolution.values.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="must share their ciphertexts"):
+            next(attacks)
 
 
 def test_attack_sets_reject_an_empty_first_set_and_other_ciphertexts():

@@ -1,9 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scakit import aes, hd
+from scakit import aes, cpa, hd
 from scakit.cpa import cpa_attack
 from scakit.hd import (
     HdClassSummary,
@@ -247,6 +249,31 @@ def test_attack_offset_grid_equals_per_set_calls():
         assert horses == wrong_horse_scan(traces, 5, correct, sample_index=1)
     # the unaugmented point discloses, so the comparison is not vacuous
     assert attacks[0][0].disclosure is not None
+
+
+def _alive_at_each_take(trace_sets, alive):
+    """Pass the sets on; before each, record how many earlier ones are still held."""
+    refs = []
+    for traces in trace_sets:
+        alive.append(sum(ref() is not None for ref in refs))
+        refs.append(weakref.ref(traces))
+        yield traces
+
+
+@pytest.mark.parametrize("samples,group_budget,width", [(1, 2 * 256 * 5, 2), (300, None, 1)])
+def test_attack_offset_grid_holds_one_group_at_a_time(monkeypatch, samples, group_budget, width):
+    # When a set is taken, the earlier ones still held are the sets of its
+    # group taken so far and the set last scanned: at most one group's
+    # width.  At the default budgets a wide grid is walked one set at a time.
+    if group_budget is not None:
+        monkeypatch.setattr(cpa, "_GROUP_ELEMENTS", group_budget)
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=samples)
+    augmentations = [Augmentation(0, 2, offset) for offset in (0.0, 1.0, 2.0, 4.0, 6.0)]
+    grid = simulate_offset_grid(KEY, 500, config, 3, augmentations)
+    alive = []
+    attacks = list(attack_offset_grid(_alive_at_each_take(grid, alive), 0, CORRECT_BYTE0))
+    assert len(attacks) == len(alive) == len(augmentations)
+    assert max(alive) == width
 
 
 def test_attack_offset_grid_rejects_sets_with_other_ciphertexts():
