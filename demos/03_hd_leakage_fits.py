@@ -45,8 +45,8 @@ for label, traces in (("plain", plain), ("augmented", augmented)):
             rows.append([label, guess, int(hd),
                          f"{summary.means[hd]:.8g}", int(summary.counts[hd])])
 
-flip = sk.sign_flip_report(sk.fit_for_guess(plain, correct, 0),
-                           sk.fit_for_guess(augmented, correct, 0))
+flip = sk.sign_flip_report(sk.fit_hd_line(sk.group_by_hd(plain, correct, 0)),
+                           sk.fit_hd_line(sk.group_by_hd(augmented, correct, 0)))
 print(f"\ncorrect-key slope flipped: {flip.flipped} "
       f"({flip.baseline_slope:+.4f} -> {flip.augmented_slope:+.4f})")
 

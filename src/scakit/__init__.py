@@ -12,9 +12,7 @@ from .aes import (
     as_block,
     block_hex,
     correct_last_round_guess,
-    encrypt_batch,
     expand_key,
-    hamming_weight,
     hypothesis_matrix,
     hypothetical_power,
     invert_key_schedule,
@@ -37,7 +35,6 @@ from .hd import (
     HdFit,
     SignFlipReport,
     attack_offset_grid,
-    fit_for_guess,
     fit_hd_line,
     group_by_hd,
     sign_flip_report,

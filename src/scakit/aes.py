@@ -138,11 +138,6 @@ def _encrypt_states(round_keys, states):
     return s, SBOX[s][:, SR_INVERSE] ^ round_keys[10]
 
 
-def encrypt_batch(key, plaintexts) -> np.ndarray:
-    """AES-128 encryption of an (n, 16) array of blocks under one key."""
-    return _encrypt_states(expand_key(key), _as_batch(plaintexts))[1]
-
-
 def last_round_states_batch(key, plaintexts):
     """State register content before the final-round overwrite, and the
     ciphertext that overwrites it, for an (n, 16) array of plaintexts.
@@ -182,15 +177,10 @@ def last_round_transitions(ct, key_guess, byte_index) -> int:
     return int(prior ^ ct[byte_index])
 
 
-def hamming_weight(v) -> int:
-    """Population count of an 8-bit value."""
-    return int(HW_TABLE[v])
-
-
 def hypothetical_power(ct, key_guess, byte_index) -> int:
     """Model value for CPA: Hamming distance of the predicted overwrite,
     i.e. the Hamming weight of :func:`last_round_transitions`."""
-    return hamming_weight(last_round_transitions(ct, key_guess, byte_index))
+    return int(HW_TABLE[last_round_transitions(ct, key_guess, byte_index)])
 
 
 def hypothesis_matrix(ciphertexts, byte_index, guesses=None) -> np.ndarray:

@@ -41,7 +41,7 @@ import sys
 import numpy as np
 
 from . import aes
-from .cpa import checkpoint_schedule, cpa_attack
+from .cpa import CHECKPOINT_STRIDE, checkpoint_schedule, cpa_attack
 from .hd import attack_offset_grid, fit_hd_line, group_by_hd
 from .leakage import (Augmentation, LeakageConfig, Trigger, ro_offset_model, simulate_campaign,
                       simulate_offset_grid)
@@ -49,15 +49,15 @@ from .traceio import import_raw, read_sctr, write_sctr
 
 # The campaign parameters: name -> (type, default, help).  The name is
 # the config-file key and, with "-" for "_", the long flag; the type
-# parses both.
+# parses both.  Defaults the library's dataclasses also hold are read from them.
 _SIM_PARAMS = {
     "key": (str, "000102030405060708090a0b0c0d0e0f", "cipher key, 32 hex chars"),
     "n": (int, 1000, "number of traces"),
-    "sigma": (float, 0.0, "gaussian noise level"),
+    "sigma": (float, LeakageConfig.noise_sigma, "gaussian noise level"),
     "weight": (float, 1.0, "per-bit leakage weight"),
-    "baseline": (float, 0.0, "trace baseline level"),
-    "samples": (int, 1, "samples per trace"),
-    "poi": (int, 0, "sample index carrying the leakage"),
+    "baseline": (float, LeakageConfig.baseline, "trace baseline level"),
+    "samples": (int, LeakageConfig.samples_per_trace, "samples per trace"),
+    "poi": (int, LeakageConfig.poi_index, "sample index carrying the leakage"),
     "seed": (int, 1, "campaign seed"),
     "augment_byte": (int, 0, "state byte holding the augmented bit"),
     "augment_bit": (int, 2, "augmented bit within that byte"),
@@ -65,7 +65,7 @@ _SIM_PARAMS = {
     "n_ro": (int, None, "derive the offset from a ring-oscillator count"),
     "alpha": (float, None, "per-oscillator offset contribution"),
     "pulse": (float, 1.0, "fraction of the window the bank is active"),
-    "trigger": (Trigger, Trigger.ON_STATIC, "offset fires when the bit is static or toggles"),
+    "trigger": (Trigger, Augmentation.trigger, "offset fires when the bit is static or toggles"),
 }
 # The sweep's grid sets the augmented bit and the offset.
 _SWEEP_PARAMS = tuple(name for name in _SIM_PARAMS
@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_att.add_argument("--byte", type=int, help="state byte index to attack (default 0)")
     p_att.add_argument("--all-bytes", action="store_true", dest="all_bytes",
                        help="attack all 16 byte positions and assemble the key")
-    p_att.add_argument("--stride", type=int, default=100, help="checkpoint stride in traces")
+    p_att.add_argument("--stride", type=int, default=CHECKPOINT_STRIDE,
+                       help="checkpoint stride in traces")
     p_att.add_argument("--report", help="write the JSON report here instead of stdout")
     p_att.add_argument("--evolution-csv", dest="evolution_csv",
                        help="write checkpoint,guess,r rows here (single-byte mode)")
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--bits", required=True, type=_list_of(int),
                          help="comma-separated bit indices")
     p_sweep.add_argument("--byte", type=int, default=0, help="state byte index to attack")
-    p_sweep.add_argument("--stride", type=int, default=100)
+    p_sweep.add_argument("--stride", type=int, default=CHECKPOINT_STRIDE)
     p_sweep.add_argument("-o", "--output", help="table CSV (default stdout)")
     p_sweep.set_defaults(func=cmd_sweep)
 

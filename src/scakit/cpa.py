@@ -16,6 +16,11 @@ import numpy as np
 from . import aes
 from .traces import TraceSet
 
+CHECKPOINT_STRIDE = 100   # traces between two recorded checkpoints unless a caller names a stride
+# Upper bounds, whatever the checkpoint count, on the (sets, checkpoints, 256,
+# samples) elements whose r is computed at once and a group's evolution elements.
+_BLOCK_ELEMENTS, _GROUP_ELEMENTS = 1 << 16, 1 << 20
+
 
 def pearson(xs, ys) -> float:
     """Pearson correlation coefficient of two equal-length sequences.
@@ -68,7 +73,10 @@ class CorrelationAccumulator:
         self.sum_y, self.sum_yy, self.sum_xy = (total[0] for total in out)
 
     def merge(self, other) -> "CorrelationAccumulator":
-        """Absorb another accumulator built over disjoint traces."""
+        """Absorb another accumulator of the same dimensions, built over disjoint traces."""
+        if other.sum_xy.shape != self.sum_xy.shape:
+            raise ValueError(f"cannot merge a {other.sum_xy.shape} accumulator into a "
+                             f"{self.sum_xy.shape} one")
         self.n += other.n
         self.sum_x += other.sum_x
         self.sum_xx += other.sum_xx
@@ -137,15 +145,15 @@ class CorrelationEvolution:
             raise ValueError("evolution needs at least one checkpoint")
         if np.any(np.diff(self.checkpoints) <= 0):
             raise ValueError("checkpoints must be strictly increasing")
-        if self.values.shape[1] != len(self.checkpoints):
-            raise ValueError("values width must match number of checkpoints")
-        if np.any(np.abs(self.values) > 1.0 + 1e-9):
+        if self.values.ndim != 2 or self.values.shape[1] != len(self.checkpoints):
+            raise ValueError(f"values width must match number of checkpoints, in 2-D: got "
+                             f"shape {self.values.shape} for {len(self.checkpoints)} checkpoints")
+        if not np.all(np.abs(self.values) <= 1.0 + 1e-9):   # NaN fails this too
             raise ValueError("correlation values outside [-1, 1]")
 
 
 @dataclass
 class AttackResult:
-    byte_index: int
     best_guess: int
     ranking: np.ndarray   # all 256 guesses, best first
     scores: np.ndarray    # (256,) max-over-samples |r|, indexed by guess
@@ -173,7 +181,7 @@ def checkpoint_schedule(n_traces, stride):
     return points
 
 
-def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=100):
+def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=CHECKPOINT_STRIDE):
     """Mount the attack on one key byte.
 
     Returns ``(AttackResult, CorrelationEvolution)``.  The ranking orders
@@ -186,12 +194,7 @@ def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=100):
     return next(cpa_attack_sets([traces], byte_index, checkpoint_stride))
 
 
-# Upper bounds, whatever the checkpoint count, on the (sets, checkpoints, 256,
-# samples) elements whose r is computed at once and a group's evolution elements.
-_BLOCK_ELEMENTS, _GROUP_ELEMENTS = 1 << 16, 1 << 20
-
-
-def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=100):
+def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE):
     """Yield :func:`cpa_attack` of each of ``trace_sets``, which share their
     ciphertexts as ``simulate_offset_grid``'s do; a later set with other
     ciphertexts raises ValueError once the sets before it are yielded.
@@ -241,8 +244,8 @@ def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=100):
                                  "needs at least 2 traces and samples that vary across them")
             ranking, guess = np.lexsort((np.arange(256), -scores)), correct.get(key)
             disclosure = None if guess is None else traces_to_disclosure(evolution, guess)
-            yield AttackResult(byte_index=byte_index, best_guess=int(ranking[0]), ranking=ranking,
-                               scores=scores, disclosure=disclosure, correct_guess=guess), evolution
+            yield AttackResult(best_guess=int(ranking[0]), ranking=ranking, scores=scores,
+                               disclosure=disclosure, correct_guess=guess), evolution
 
 
 def _groups(trace_sets, stride):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aes
-from .cpa import cpa_attack_sets, pearson
+from .cpa import CHECKPOINT_STRIDE, cpa_attack_sets, pearson
 from .traces import TraceSet
 
 
@@ -111,11 +111,6 @@ def sign_flip_report(baseline: HdFit, augmented: HdFit) -> SignFlipReport:
     )
 
 
-def fit_for_guess(traces: TraceSet, key_guess, byte_index, sample_index=0) -> HdFit:
-    """Group and fit in one step."""
-    return fit_hd_line(group_by_hd(traces, key_guess, byte_index, sample_index))
-
-
 def wrong_horse_scan(traces: TraceSet, byte_index, correct_guess, sample_index=0):
     """Exhaustively fit all 256 guesses and return the incorrect ones
     whose fit |r| beats the correct guess's, in ascending guess order.
@@ -129,8 +124,8 @@ def wrong_horse_scan(traces: TraceSet, byte_index, correct_guess, sample_index=0
     return _wrong_horses(_pair_classes(traces.ciphertexts, byte_index), y, correct_guess)
 
 
-def attack_offset_grid(trace_sets, byte_index, correct_guess, checkpoint_stride=100,
-                       sample_index=0):
+def attack_offset_grid(trace_sets, byte_index, correct_guess,
+                       checkpoint_stride=CHECKPOINT_STRIDE, sample_index=0):
     """Yield ``(AttackResult, wrong_horses)`` per trace set, as
     :func:`~scakit.cpa.cpa_attack` and :func:`wrong_horse_scan` give them.
     :func:`~scakit.cpa.cpa_attack_sets` attacks the sets, which share their

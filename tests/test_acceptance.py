@@ -103,8 +103,8 @@ def plain_50k_campaign():
 
 
 def test_criterion_01_aes_correctness():
-    ct = sk.encrypt_batch("000102030405060708090a0b0c0d0e0f",
-                          sk.as_block("00112233445566778899aabbccddeeff")[None])[0]
+    ct = sk.last_round_states_batch("000102030405060708090a0b0c0d0e0f",
+                                    sk.as_block("00112233445566778899aabbccddeeff")[None])[1][0]
     ct_ok = sk.block_hex(ct) == "69c4e0d86a7b0430d8cdb78070b4c55a"
     k10 = sk.last_round_key("000102030405060708090a0b0c0d0e0f")
     k10_ok = sk.block_hex(k10) == "13111d7fe3944a17f307a78b4d2b30c5"
@@ -189,11 +189,11 @@ def test_criterion_05_countermeasure_blocks_disclosure(augmented_4w_campaigns):
 
 
 def test_criterion_06_slope_sign_flip(plain_50k_campaign):
-    baseline = sk.fit_for_guess(plain_50k_campaign, CORRECT_BYTE0, 0)
+    baseline = sk.fit_hd_line(sk.group_by_hd(plain_50k_campaign, CORRECT_BYTE0, 0))
     aug = sk.Augmentation(0, 2, offset=12.0 * W)  # above the 8x flip threshold
     config = sk.LeakageConfig.equal_weights(W, noise_sigma=SIGMA, augmentation=aug)
     augmented_traces = sk.simulate_campaign(KEY, 50_000, config, seed=1)
-    augmented = sk.fit_for_guess(augmented_traces, CORRECT_BYTE0, 0)
+    augmented = sk.fit_hd_line(sk.group_by_hd(augmented_traces, CORRECT_BYTE0, 0))
     flip = sk.sign_flip_report(baseline, augmented)
     ok = baseline.slope < 0 < augmented.slope and flip.flipped
     detail = report("6 slope sign flip", ok,

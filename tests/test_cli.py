@@ -45,7 +45,8 @@ def test_simulate_writes_campaign(tmp_path, capsys):
     assert effective["n"] == 40 and effective["seed"] == 9
     ts = read_sctr(out)
     assert ts.n_traces == 40
-    assert np.array_equal(aes.encrypt_batch(ts.true_key, ts.plaintexts), ts.ciphertexts)
+    _, cts = aes.last_round_states_batch(ts.true_key, ts.plaintexts)
+    assert np.array_equal(cts, ts.ciphertexts)
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -662,3 +663,84 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert sorted(outputs[0]) == ["stderr", "stdout", "sweep.csv", "wide.json",
                                   "wide.sctr", "wide_evolution.csv"]
     assert outputs[0] == outputs[1]
+
+
+# The fuzz below draws valid campaigns (campaign_params) and flags, and half
+# the time replaces or adds one value from BAD; every run must end in output
+# or one JSON error, never a traceback.  No draw asks for a large campaign:
+# n <= 40, samples <= 16, grids <= 2 x 2.
+BAD = st.sampled_from(["", "abc", "nan", "inf", "-inf", "-1", "1e400", "1e39", "0x10", "1.5",
+                       "8", "16", "00ff", "zz" * 16, "static"])
+
+
+@st.composite
+def fuzz_campaign(draw, names):
+    """Campaign flags and a config file text (or None) over ``names``."""
+    params = {name: value for name, value in draw(campaign_params()).items() if name in names}
+    junk = []
+    if draw(st.booleans()):
+        params[draw(st.sampled_from(sorted(names)))] = draw(BAD)
+        junk = draw(st.lists(st.sampled_from(["# comment", "bogus = 1", "no equals"]), max_size=1))
+    in_file = [name for name in params if draw(st.booleans())]
+    lines = [f"{name} = {params[name]}" for name in in_file] + junk
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in params.items()
+             if name not in in_file]
+    return flags, "\n".join(lines) if lines else None
+
+
+def run_fuzzed(tmp, command, flags, config=None):
+    """Run one drawn command: it exits 0 with nothing on stderr, or 1 with
+    stderr holding exactly one JSON object, the error."""
+    if config is not None:
+        (tmp / "c.cfg").write_text(config)
+        flags = [*flags, "--config", tmp / "c.cfg"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(command, *flags)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1 and set(json.loads(err.getvalue())) == {"error"}, err.getvalue()
+
+
+def maybe(draw, flag, values):
+    """``[flag, value]`` for a drawn value or a drawn BAD one, or no flag."""
+    value = draw(st.one_of(st.none(), values.map(str), values.map(str), BAD))
+    return [] if value is None else [flag, value]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), campaign=fuzz_campaign(cli._SIM_PARAMS))
+def test_fuzzed_simulate_attack_and_fit_hd_exit_with_one_json_error(data, campaign):
+    draw = data.draw
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        sctr = tmp / "c.sctr"
+        run_fuzzed(tmp, "simulate", [*campaign[0], "-o", sctr], campaign[1])
+        attack = [*maybe(draw, "--byte", st.integers(0, 15)),
+                  *maybe(draw, "--stride", st.integers(1, 400))]
+        for flag, value in (("--all-bytes", ()), ("--report", (tmp / "r.json",)),
+                            ("--evolution-csv", (tmp / "e.csv",))):
+            attack += [flag, *value] * draw(st.booleans())
+        run_fuzzed(tmp, "attack", [sctr, *attack])
+        fit = [*maybe(draw, "--byte", st.integers(0, 15)),
+               *maybe(draw, "--sample", st.integers(0, 4)),
+               *maybe(draw, "--guess", st.integers(0, 255)),
+               *maybe(draw, "--guess", st.integers(0, 255))]
+        fit += ["--points", tmp / "p.csv", "--fits", tmp / "f.csv"] * draw(st.booleans())
+        run_fuzzed(tmp, "fit-hd", [sctr, *fit])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), campaign=fuzz_campaign(cli._SWEEP_PARAMS))
+def test_fuzzed_sweep_exits_with_one_json_error(data, campaign):
+    draw = data.draw
+    grid = {flag: ",".join(map(str, draw(st.lists(values, min_size=1, max_size=2))))
+            for flag, values in (("--offsets", st.floats(0, 20)), ("--bits", st.integers(0, 7)))}
+    if draw(st.booleans()):
+        grid[draw(st.sampled_from(sorted(grid)))] = draw(BAD)
+    flags = [*campaign[0], "--offsets", grid["--offsets"], "--bits", grid["--bits"]]
+    flags += [*maybe(draw, "--byte", st.integers(0, 15)),
+              *maybe(draw, "--stride", st.integers(1, 400))]
+    with tempfile.TemporaryDirectory() as tmp:
+        run_fuzzed(Path(tmp), "sweep", [*flags, "-o", Path(tmp) / "s.csv"], campaign[1])

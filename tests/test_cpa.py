@@ -95,6 +95,21 @@ def test_accumulator_rejects_mismatched_batches():
     assert acc.n == 0
 
 
+@pytest.mark.parametrize("other_dims", [(4, 3), (5, 2)])
+def test_failed_merge_leaves_the_accumulator_unchanged(other_dims):
+    rng = np.random.default_rng(3)
+    acc, other = CorrelationAccumulator(4, 2), CorrelationAccumulator(*other_dims)
+    acc.update(rng.integers(0, 9, (3, 4)), rng.normal(size=(3, 2)))
+    other.update(rng.integers(0, 9, (5, other_dims[0])), rng.normal(size=(5, other_dims[1])))
+    before = {name: np.copy(value) for name, value in vars(acc).items()}
+    with pytest.raises(ValueError, match=rf"merge a \({other_dims[0]}, {other_dims[1]}\) "
+                                         r"accumulator into a \(4, 2\) one"):
+        acc.merge(other)
+    assert vars(acc).keys() == before.keys()
+    for name, value in vars(acc).items():
+        assert np.array_equal(value, before[name]), name
+
+
 def test_accumulator_holds_a_large_dc_baseline():
     # Samples centred on a 16-bit ADC's midscale: the raw sums of y and y*y
     # carry a large common part that the variance must cancel.
@@ -169,9 +184,18 @@ def test_evolution_validation():
         CorrelationEvolution(np.array([100, 200]), np.zeros((256, 3)))
 
 
+def test_evolution_rejects_values_that_are_not_2d_or_are_nan():
+    with pytest.raises(ValueError, match=r"values width .* shape \(256,\)"):
+        CorrelationEvolution(np.array([100]), np.zeros(256))
+    values = np.zeros((256, 2))
+    values[7, 1] = np.nan   # NaN > 1 is False, so a bound written as "> 1" lets it through
+    with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+        CorrelationEvolution(np.array([100, 200]), values)
+
+
 def test_attack_result_ranking_must_be_permutation():
     with pytest.raises(ValueError):
-        AttackResult(0, 0, np.zeros(256, dtype=int), np.zeros(256))
+        AttackResult(0, np.zeros(256, dtype=int), np.zeros(256))
 
 
 def test_noiseless_equal_weight_attack_recovers_all_bytes():

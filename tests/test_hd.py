@@ -10,7 +10,6 @@ from scakit.cpa import cpa_attack
 from scakit.hd import (
     HdClassSummary,
     attack_offset_grid,
-    fit_for_guess,
     fit_hd_line,
     group_by_hd,
     sign_flip_report,
@@ -83,7 +82,7 @@ def test_fit_recovers_exact_line():
 def test_noiseless_single_byte_fit_is_exact():
     config = LeakageConfig.single_byte_weights(0, 0.75, baseline=10.0)
     ts = simulate_campaign(KEY, 4096, config, seed=4)
-    fit = fit_for_guess(ts, CORRECT_BYTE0, 0)
+    fit = fit_hd_line(group_by_hd(ts, CORRECT_BYTE0, 0))
     assert fit.slope == pytest.approx(-0.75, abs=1e-9)
     assert fit.r == pytest.approx(-1.0, abs=1e-9)
 

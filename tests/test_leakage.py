@@ -30,7 +30,7 @@ def test_noiseless_trace_is_affine_in_total_hd():
     ts = simulate_campaign(KEY, 20, config, seed=1)
     h = total_hd(KEY, ts.plaintexts)
     assert np.array_equal(ts.samples[:, 0], (2.0 - 0.5 * h).astype(np.float32))
-    assert np.array_equal(ts.ciphertexts, aes.encrypt_batch(KEY, ts.plaintexts))
+    assert np.array_equal(ts.ciphertexts, aes.last_round_states_batch(KEY, ts.plaintexts)[1])
 
 
 def test_zero_weights_give_exact_baseline():
@@ -205,7 +205,8 @@ def test_noiseless_correlation_with_total_hd_is_minus_one():
 def test_campaign_ciphertexts_verify():
     config = LeakageConfig.equal_weights(1.0, noise_sigma=3.0)
     ts = simulate_campaign(KEY, 300, config, seed=17)
-    assert np.array_equal(aes.encrypt_batch(ts.true_key, ts.plaintexts), ts.ciphertexts)
+    _, cts = aes.last_round_states_batch(ts.true_key, ts.plaintexts)
+    assert np.array_equal(cts, ts.ciphertexts)
     assert ts.samples.dtype == np.float32
 
 
