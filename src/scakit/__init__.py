@@ -14,11 +14,9 @@ from .aes import (
     correct_last_round_guess,
     expand_key,
     hypothesis_matrix,
-    hypothetical_power,
     invert_key_schedule,
     last_round_key,
     last_round_states_batch,
-    last_round_transitions,
 )
 from .cpa import (
     AttackResult,
@@ -51,7 +49,6 @@ from .leakage import (
 from .traceio import (
     SctrFormatError,
     TraceImportError,
-    export_raw,
     import_raw,
     read_sctr,
     write_sctr,

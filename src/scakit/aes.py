@@ -4,8 +4,7 @@ Blocks are flat arrays of 16 bytes in FIPS-197 wire order: byte ``i``
 sits at row ``i % 4``, column ``i // 4`` of the state matrix.  On top of
 plain encryption this module exposes the value held by the state
 register just before the final-round overwrite, the ShiftRows byte
-permutation, and the toggle/Hamming-distance helpers that the power
-model and the CPA hypothesis generator are built from.
+permutation, and the Hamming-distance hypotheses of the CPA attack.
 """
 
 import numpy as np
@@ -162,33 +161,14 @@ def _check_guess(key_guess):
         raise ValueError(f"key_guess must be in 0..255, got {key_guess}")
 
 
-def last_round_transitions(ct, key_guess, byte_index) -> int:
-    """Predicted toggle byte of the final-round register overwrite.
-
-    Under guess ``key_guess`` for the round-10 key byte at position
-    ``SR_FORWARD[byte_index]``, the state byte at ``byte_index`` went from
-    ``INV_SBOX[ct[SR_FORWARD[byte_index]] ^ key_guess]`` to ``ct[byte_index]``;
-    the return value is the XOR of the two.
-    """
-    _check_byte_index(byte_index)
-    _check_guess(key_guess)
-    ct = as_block(ct)
-    prior = INV_SBOX[ct[SR_FORWARD[byte_index]] ^ key_guess]
-    return int(prior ^ ct[byte_index])
-
-
-def hypothetical_power(ct, key_guess, byte_index) -> int:
-    """Model value for CPA: Hamming distance of the predicted overwrite,
-    i.e. the Hamming weight of :func:`last_round_transitions`."""
-    return int(HW_TABLE[last_round_transitions(ct, key_guess, byte_index)])
-
-
 def hypothesis_matrix(ciphertexts, byte_index, guesses=None) -> np.ndarray:
     """Model values for all 256 key guesses at once.
 
-    Returns an (n_traces, 256) uint8 array where column ``k`` holds
-    :func:`hypothetical_power` under guess ``k``; given a sequence of
-    ``guesses``, only their columns, in that order.
+    Returns an (n_traces, 256) uint8 array where column ``k`` holds the
+    Hamming distance of the final-round overwrite of state byte ``j =
+    byte_index`` under guess ``k`` for the round-10 key byte at position
+    ``SR_FORWARD[j]``: from ``INV_SBOX[ct[SR_FORWARD[j]] ^ k]`` to ``ct[j]``.
+    Given a sequence of ``guesses``, only their columns, in that order.
     """
     _check_byte_index(byte_index)
     for guess in guesses if guesses is not None else ():

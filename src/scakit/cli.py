@@ -221,22 +221,39 @@ def cmd_attack(args) -> int:
         report["scores"] = result.scores.tolist()
         checkpoints, curves = evolution.checkpoints.tolist(), evolution.values.tolist()
         report["evolution"] = {"checkpoints": checkpoints, "curves": curves}
-        if args.evolution_csv:
+        if args.evolution_csv:   # one % format per checkpoint's 256 lines
+            lines = "\r\n".join(f"{{0}},{guess},%.17g" for guess in range(256))
             _write_csv(args.evolution_csv, "checkpoint,guess,r",
-                       (f"{count},{guess},{r:.17g}" for count, row in zip(checkpoints, zip(*curves))
-                        for guess, r in enumerate(row)))
+                       (lines.format(count) % row for count, row in zip(checkpoints, zip(*curves))))
 
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2)
+            fh.writelines(_json(report))
             fh.write("\n")
         brief = {k: report[k] for k in report
                  if k not in ("ranking", "scores", "evolution", "bytes")}
         print(json.dumps(brief))
     else:
-        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.writelines(_json(report))
         print()
     return 0
+
+
+def _json(value, pad="\n"):
+    """Yield the text of ``json.dumps(value, indent=2)``, dict keys being strings;
+    json's C encoder renders each list of numbers, as the pure-Python one is slow."""
+    inner = pad + "  "
+    if not isinstance(value, (dict, list)) or not value:
+        yield json.dumps(value)
+    elif isinstance(value, list) and {*map(type, value)} <= {int, float, bool, type(None)}:
+        yield f"[{inner}{json.dumps(value)[1:-1].replace(', ', ',' + inner)}{pad}]"
+    else:
+        brackets, items = (("{}", ((json.dumps(k) + ": ", v) for k, v in value.items()))
+                           if isinstance(value, dict) else ("[]", (("", v) for v in value)))
+        for i, (key, item) in enumerate(items):
+            yield ("," if i else brackets[0]) + inner + key
+            yield from _json(item, inner)
+        yield pad + brackets[1]
 
 
 def cmd_fit_hd(args) -> int:

@@ -17,8 +17,9 @@ from . import aes
 from .traces import TraceSet
 
 CHECKPOINT_STRIDE = 100   # traces between two recorded checkpoints unless a caller names a stride
-# Upper bounds, whatever the checkpoint count, on the (sets, checkpoints, 256,
-# samples) elements whose r is computed at once and a group's evolution elements.
+# Upper bounds, whatever the checkpoint count, on the (sets, checkpoints, 256, samples)
+# elements whose r is computed at once (their float64 bytes also bound a block's uint8
+# hypothesis rows) and a group's evolution elements.
 _BLOCK_ELEMENTS, _GROUP_ELEMENTS = 1 << 16, 1 << 20
 
 
@@ -36,11 +37,11 @@ def pearson(xs, ys) -> float:
         raise ValueError(f"need at least 2 points, got {len(x)}")
     x = x - x.mean()
     y = y - y.mean()
-    vx = float(x @ x)
-    vy = float(y @ y)
+    vx = math.fsum(x * x)   # exactly rounded sums, not BLAS dot products: the same bits on any host
+    vy = math.fsum(y * y)
     if vx == 0.0 or vy == 0.0:
         return 0.0
-    return float((x @ y) / math.sqrt(vx * vy))
+    return math.fsum(x * y) / math.sqrt(vx * vy)
 
 
 class CorrelationAccumulator:
@@ -111,24 +112,54 @@ def _add_samples(carry, y, stride, out, yy=None):
             np.cumsum(dest, axis=axis, out=dest)
 
 
+def _moments(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out=None):
+    """cov (into ``out``, if given), var_x and var_y, elementwise, as :func:`_correlations`."""
+    n = n[..., None]
+    cov = np.multiply(sum_x[..., :, None], sum_y[..., None, :], out=out)
+    np.divide(cov, n[..., None], out=cov)
+    np.subtract(sum_xy, cov, out=cov)
+    return cov, np.maximum(sum_xx - sum_x ** 2 / n, 0.0), np.maximum(sum_yy - sum_y ** 2 / n, 0.0)
+
+
 def _correlations(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out=None, scratch=None):
     """Signed Pearson r from raw sums, batched over leading axes: ``n``
     has the batch shape, ``sum_x``/``sum_xx`` add a guess axis,
     ``sum_y``/``sum_yy`` a sample axis and ``sum_xy`` both.  Every step
     is elementwise, so a batch gives the same bits as one call per item.
     ``out`` and ``scratch``, if given, are ``sum_xy``-shaped buffers."""
-    n = n[..., None]
-    cov = np.multiply(sum_x[..., :, None], sum_y[..., None, :], out=out)
-    np.divide(cov, n[..., None], out=cov)
-    np.subtract(sum_xy, cov, out=cov)
-    var_x = np.maximum(sum_xx - sum_x ** 2 / n, 0.0)
-    var_y = np.maximum(sum_yy - sum_y ** 2 / n, 0.0)
+    cov, var_x, var_y = _moments(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out)
     denom = np.multiply(var_x[..., :, None], var_y[..., None, :], out=scratch)
     np.sqrt(denom, out=denom)
     zero = denom == 0   # zero variance on either side gives r = 0
     cov[zero] = 0.0
     denom[zero] = 1.0
     return np.divide(cov, denom, out=cov)
+
+
+def _peak_r(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out, scratch):
+    """r at each guess's sample of largest |r|, (..., 256, 1), bit for bit as
+    :func:`_correlations` and an argmax of its |r| give it.  var_x is constant
+    along a guess's row, so ``q = |cov| * (1 / sqrt(var_y))`` orders the samples
+    as |r| does to within about 12 ulp while all values are normal floats; a top
+    q that clears the runner-up by a relative 1e-12 is r's peak, and r is then
+    computed there alone.  Where a guard fails, the whole r serves the block."""
+    cov, var_x, var_y = _moments(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out)
+    tiny = np.finfo(np.float64).tiny
+    with np.errstate(all="ignore"):   # the guards below catch each 0, inf or NaN made here
+        low, high = var_x.min(-1) * var_y.min(-1), var_x.max(-1) * var_y.max(-1)
+        q = np.multiply(np.abs(cov, out=cov), 1 / np.sqrt(var_y)[..., None, :], out=cov)
+    at = q.argmax(-1)[..., None]
+    top = np.take_along_axis(q, at, -1)
+    np.put_along_axis(q, at, 0.0, -1)
+    if (tiny <= low.min() and high.max() < np.inf and tiny <= top.min() and top.max() < np.inf
+            and np.all(q.max(-1, keepdims=True) < top * (1 - 1e-12))):
+        r = _correlations(n[..., None], sum_x[..., None], sum_xx[..., None],
+                          *(np.take_along_axis(s[..., None, :], at, -1) for s in (sum_y, sum_yy)),
+                          np.take_along_axis(sum_xy, at, -1)[..., None])[..., 0]
+        if tiny <= np.abs(r).min():
+            return r
+    r = _correlations(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out, scratch)
+    return np.take_along_axis(r, np.abs(r, out=scratch).argmax(-1)[..., None], -1)
 
 
 @dataclass
@@ -207,7 +238,8 @@ def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE)
     gives it.  The x-side sums are taken from ``x``, exactly, as x is 0..8."""
     for checkpoints, group in _groups(trace_sets, checkpoint_stride):
         cts, n_samples, starts = group[0].ciphertexts, group[0].samples_per_trace, [0, *checkpoints]
-        block = min(len(checkpoints), max(1, _BLOCK_ELEMENTS // (256 * n_samples * len(group))))
+        block = min(len(checkpoints), max(1, _BLOCK_ELEMENTS // max(
+            256 * n_samples * len(group), 256 * checkpoint_stride // 8)))
         # (sum_x, sum_xx); (sum_y, sum_yy) and sum_xy per block parity, the other parity's xy is r
         x_sums, sums = np.zeros((2, block, 256)), np.zeros((2, 2, len(group), block, n_samples))
         xy = np.zeros((2, len(group), block, 256, n_samples))
@@ -229,10 +261,9 @@ def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE)
                 np.add(x_sums[:, slot - 1], parts, out=x_sums[:, slot])   # row -1: the block before
             carry = (*sums[1 - p][:, :, -1], xy[1 - p][:, -1])   # the block before's last sums
             _add_samples(carry, y[:, :hi - lo], checkpoint_stride, out, yy[:, :hi - lo])
-            r = _correlations(np.array(checkpoints[done], float), *x_sums[:, :k], *out,
-                              xy[1 - p][:, :k], scratch[:, :k])
-            if n_samples > 1:   # r at each guess's sample of largest |r|
-                r = np.take_along_axis(r, np.abs(r, out=scratch[:, :k]).argmax(-1)[..., None], -1)
+            r = (_peak_r if n_samples > 1 else _correlations)(
+                np.array(checkpoints[done], float), *x_sums[:, :k], *out, xy[1 - p][:, :k],
+                scratch[:, :k])
             values[..., done] = r[..., 0].swapaxes(1, 2)
         del xy, scratch, x, y, yy, hyp, out, carry, r   # not held while the caller works
         keys = [None if traces.true_key is None else traces.true_key.tobytes() for traces in group]

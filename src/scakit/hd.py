@@ -24,6 +24,7 @@ degenerate samples (constant, or noise far below the baseline), where
 every guess is re-scored.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -95,7 +96,7 @@ def fit_hd_line(summary: HdClassSummary) -> HdFit:
     m = summary.means[mask]
     hc = h - h.mean()
     mc = m - m.mean()
-    slope = float((hc @ mc) / (hc @ hc))
+    slope = math.fsum(hc * mc) / math.fsum(hc * hc)   # as pearson, no BLAS dot products
     intercept = float(m.mean() - slope * h.mean())
     return HdFit(slope=slope, intercept=intercept, r=pearson(h, m),
                  n_classes_used=int(mask.sum()))

@@ -137,7 +137,8 @@ def _base_chunk(round_keys, n, config, seed, chunk_index):
     samples = rng.normal(0.0, config.noise_sigma, size=(m, config.samples_per_trace))
     samples += config.baseline
     round9, cts = aes._encrypt_states(round_keys, pts)
-    samples[:, config.poi_index] -= toggle_bits(round9, cts) @ config.bit_weights
+    for rows in (slice(i, i + 512) for i in range(0, m, 512)):   # float64 cast 512 rows at a time
+        samples[rows, config.poi_index] -= toggle_bits(round9[rows], cts[rows]) @ config.bit_weights
     return _float32(samples), samples[:, config.poi_index].copy(), round9 ^ cts, pts, cts
 
 

@@ -23,7 +23,7 @@ Two formats are supported:
 * raw float32 matrix + metadata CSV, the shape external capture tools
   typically export.  The CSV has a header line and one row per trace
   with columns ``plaintext_hex`` and ``ciphertext_hex`` (32 hex chars
-  each).  Sample bits survive both directions untouched.
+  each), read by ``import_raw``.  Sample bits survive untouched.
 """
 
 import contextlib
@@ -128,18 +128,6 @@ def read_sctr(source) -> TraceSet:
         true_key=data[_HEADER.size:_HEADER.size + 16] if key_len else None,
         seed=int(seed) if seed != 0 else None,
     )
-
-
-def export_raw(trace_set: TraceSet, samples_path, meta_path) -> None:
-    """Dump samples as a header-less little-endian float32 matrix plus a
-    metadata CSV.  The true key, if any, is not exported."""
-    with open(samples_path, "wb") as fh:
-        fh.write(np.ascontiguousarray(trace_set.samples, dtype="<f4"))
-    with open(meta_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["plaintext_hex", "ciphertext_hex"])
-        for pt, ct in zip(trace_set.plaintexts, trace_set.ciphertexts):
-            writer.writerow([bytes(pt).hex(), bytes(ct).hex()])
 
 
 def _parse_hex_field(value, row, column):

@@ -40,6 +40,8 @@ import scakit as sk
 from scakit import aes, cli
 from scakit.cpa import CorrelationAccumulator, pearson
 
+from helpers import export_raw, last_round_transitions
+
 W = 1.0
 SIGMA = 4.0 * W
 KEY = "2041e2770445067328090a7f0c0d0e7b"  # round-10 key 33111d7fe3944a17f307a78b4d2b30c5
@@ -123,7 +125,7 @@ def test_criterion_02_model_consistency():
         k10 = sk.last_round_key(key)
         for j in range(16):
             guess = int(k10[aes.SR_FORWARD[j]])
-            if sk.last_round_transitions(ct, guess, j) != int(round9[j] ^ ct[j]):
+            if last_round_transitions(ct, guess, j) != int(round9[j] ^ ct[j]):
                 mismatches += 1
     detail = report("2 model consistency", mismatches == 0,
                     f"{mismatches} mismatches over 1000 random (key, pt) x 16 positions")
@@ -257,7 +259,7 @@ def test_criterion_09_trace_io(tmp_path):
                and np.array_equal(back.true_key, traces.true_key))
 
     raw, meta = tmp_path / "t.f32", tmp_path / "t.csv"
-    sk.export_raw(traces, raw, meta)
+    export_raw(traces, raw, meta)
     imported = sk.import_raw(raw, meta)
     raw_ok = (imported.samples.tobytes() == traces.samples.tobytes()
               and imported.true_key is None)

@@ -19,7 +19,9 @@ from scakit import aes, cli
 from scakit.cpa import cpa_attack
 from scakit.hd import wrong_horse_scan
 from scakit.leakage import Augmentation, LeakageConfig, simulate_campaign
-from scakit.traceio import export_raw, read_sctr
+from scakit.traceio import read_sctr
+
+from helpers import export_raw, write_digest_outputs
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"
 CORRECT_BYTE0 = 51
@@ -364,6 +366,28 @@ def test_attack_all_bytes_recovers_key(noisy_sctr, tmp_path, capsys):
     assert report["last_round_key_hex"] == report["true_last_round_key_hex"]
 
 
+def test_json_writer_gives_the_bytes_of_json_dumps(noisy_sctr, tmp_path, capsys):
+    # _json streams json.dumps(indent=2)'s text: the single-byte and all-byte
+    # reports, the one printed to stdout, and the values a report can hold
+    reports = []
+    for mode in ("--byte", "--all-bytes"):
+        path = tmp_path / f"{mode}.json"
+        assert run("attack", noisy_sctr, *([mode, 5] if mode == "--byte" else [mode]),
+                   "--stride", 700, "--report", path) == 0
+        reports.append((path.read_text(), json.loads(path.read_text())))
+    capsys.readouterr()
+    assert run("attack", noisy_sctr, "--stride", 1000) == 0
+    printed = capsys.readouterr().out
+    reports.append((printed, json.loads(printed)))
+    for text, report in reports:
+        assert "".join(cli._json(report)) == json.dumps(report, indent=2) == text[:-1]
+    edges = {"empty": [], "none": None, "bool": True, "nan": float("nan"), "dict": {},
+             "mixed": [1, -0.0, 2.5e-300, None, False, float("inf")],
+             "nested": [[], [1, 2], [{"a": "x, y", "b": [[3]]}], ["s, t", 4]]}
+    for value in (edges, *edges.values()):
+        assert "".join(cli._json(value)) == json.dumps(value, indent=2)
+
+
 def test_attack_all_bytes_rejects_evolution_csv(noisy_sctr, tmp_path, capsys):
     evo = tmp_path / "evo.csv"
     assert run("attack", noisy_sctr, "--all-bytes", "--evolution-csv", evo) == 1
@@ -595,35 +619,9 @@ RECORDED_DIGESTS = {
 }
 
 
-def test_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys):
+def test_outputs_match_recorded_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)   # reports echo the input path they were given
-    noise = ["--key", KEY, "--sigma", 4]
-    assert run("simulate", *noise, "--n", 3000, "--seed", 1, "-o", "full.sctr") == 0
-    assert run("attack", "full.sctr", "--all-bytes", "--stride", 150,
-               "--report", "full.json") == 0
-    assert run("simulate", *noise, "--n", 2000, "--samples", 8, "--poi", 3,
-               "--seed", 2, "-o", "s8.sctr") == 0
-    export_raw(read_sctr("s8.sctr"), "capture.f32", "capture.csv")
-    assert run("convert", "capture.f32", "capture.csv", "--samples-per-trace", 8,
-               "-o", "converted.sctr") == 0
-    assert run("attack", "converted.sctr", "--byte", 0, "--report", "byte0.json",
-               "--evolution-csv", "evolution.csv") == 0
-    assert run("fit-hd", "s8.sctr", "--sample", 3,
-               "--points", "fit_points.csv", "--fits", "fit_lines.csv") == 0
-    assert run("fit-hd", "converted.sctr", "--byte", 5, "--sample", 3, "--guess", 17,
-               "--guess", 62, "--guess", 200,
-               "--points", "fit5_points.csv", "--fits", "fit5_lines.csv") == 0
-    assert run("sweep", *noise, "--n", 3000, "--seed", 3, "--offsets", "0,4.5,8",
-               "--bits", "2,5", "-o", "sweep.csv") == 0
-    assert run("sweep", *noise, "--sigma", 12, "--n", 3000, "--seed", 3, "--byte", 5,
-               "--augment-byte", 5, "--trigger", "toggle", "--samples", 4, "--poi", 2,
-               "--offsets", "0,4.5,8", "--bits", "2,5", "-o", "sweep5.csv") == 0
-    (tmp_path / "stdout.txt").write_text(capsys.readouterr().out)
-    # S=300 gives one checkpoint per r batch; 1500 traces end on a shorter segment
-    assert run("simulate", *noise, "--n", 1500, "--samples", 300, "--poi", 150,
-               "--seed", 4, "-o", "wide.sctr") == 0
-    assert run("attack", "wide.sctr", "--byte", 0, "--stride", 140, "--report", "wide.json",
-               "--evolution-csv", "wide_evolution.csv") == 0
+    write_digest_outputs()
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(tmp_path.iterdir())}
     assert digests == RECORDED_DIGESTS
@@ -663,6 +661,29 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert sorted(outputs[0]) == ["stderr", "stdout", "sweep.csv", "wide.json",
                                   "wide.sctr", "wide_evolution.csv"]
     assert outputs[0] == outputs[1]
+
+
+def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernels by CPU, and OPENBLAS_CORETYPE forces one for a
+    # process.  A BLAS dot product's summation order is the kernel's: a
+    # 9-element one rounds three ways under the default, Haswell and Prescott
+    # kernels.  Every recorded output must keep its bytes under both forced
+    # kernels; a BLAS that ignores the variable runs the same kernel twice.
+    tests, src = Path(__file__).parent, Path(cli.__file__).parent.parent
+    outputs = []
+    for coretype in ("Haswell", "Prescott"):
+        work = tmp_path / coretype
+        work.mkdir()
+        env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c",
+                               "import helpers; helpers.write_digest_outputs()"],
+                              cwd=work, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        outputs.append({path.name: path.read_bytes() for path in sorted(work.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in outputs[0].items()} == RECORDED_DIGESTS
 
 
 # The fuzz below draws valid campaigns (campaign_params) and flags, and half

@@ -16,8 +16,10 @@ from scakit.cpa import (
     traces_to_disclosure,
 )
 from scakit.leakage import Augmentation, LeakageConfig, simulate_campaign, simulate_offset_grid
-from scakit.traceio import export_raw, import_raw
+from scakit.traceio import import_raw
 from scakit.traces import TraceSet
+
+from helpers import export_raw
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"  # round-10 key byte 0 is 0x33
 CORRECT_BYTE0 = 51
@@ -283,9 +285,9 @@ def test_campaigns_sharing_ciphertexts_share_x_sums():
 
 def test_lockstep_groups_keep_each_evolution_and_the_error_contract(monkeypatch):
     # Budgets of two S=2 sets a group and 8 checkpoints a block walk a
-    # 5-point grid as groups of 2, 2 and 1, in blocks of 8, 8 and 5
-    # checkpoints (16 and 5 for the last group); n is not a multiple of
-    # the stride.
+    # 5-point grid as groups of 2, 2 and 1, in blocks of 2 checkpoints: the
+    # budget's hypothesis rows (8192 // 32 = 256) bind before its r (8 and
+    # 16 checkpoints); n is not a multiple of the stride.
     config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=2)
     augmentations = [None, *(Augmentation(0, bit, 6.0) for bit in (1, 2, 5, 7))]
     grid = list(simulate_offset_grid(KEY, 2050, config, 9, augmentations))
@@ -311,6 +313,28 @@ def test_lockstep_groups_keep_each_evolution_and_the_error_contract(monkeypatch)
             assert evolution.values.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="must share their ciphertexts"):
             next(attacks)
+
+
+def test_block_hypothesis_rows_stay_within_the_budget(monkeypatch):
+    # A block's uint8 hypothesis rows take no more bytes than its r budget,
+    # _BLOCK_ELEMENTS float64: 2048 rows, so 20 checkpoints at stride 100,
+    # where r alone would allow 42 for this 2-set S=3 group.  A budget of 3
+    # checkpoints' rows gives blocks of 3, and every evolution keeps its bytes.
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=3, poi_index=1)
+    grid = list(simulate_offset_grid(KEY, 5050, config, 11, [None, Augmentation(0, 2, 6.0)]))
+    rows, hypothesis_matrix = [], aes.hypothesis_matrix
+    monkeypatch.setattr(aes, "hypothesis_matrix",
+                        lambda cts, byte_index: rows.append(len(cts)) or hypothesis_matrix(
+                            cts, byte_index))
+    walks = [[evolution.values for _, evolution in cpa_attack_sets(grid, 0, 100)]]
+    assert rows == [2000, 2000, 1050]
+    rows.clear()
+    monkeypatch.setattr(cpa, "_BLOCK_ELEMENTS", 32 * 100 * 3)
+    walks.append([evolution.values for _, evolution in cpa_attack_sets(grid, 0, 100)])
+    assert rows == [300] * 16 + [250]
+    for traces, values, capped in zip(grid, *walks):
+        expected = accumulator_evolution(traces, 0, checkpoint_schedule(5050, 100))
+        assert values.tobytes() == capped.tobytes() == expected.tobytes()
 
 
 def test_attack_sets_reject_an_empty_first_set_and_other_ciphertexts():
@@ -379,3 +403,87 @@ def test_sufficient_offset_defeats_the_attack():
         result, _ = cpa_attack(ts, 0)
         assert result.disclosure is None
         assert rank_of_guess(result, CORRECT_BYTE0) > 1
+
+
+def _peak_r_calls(monkeypatch, decline=False):
+    """Count the _correlations calls of the walk: "screened" computes r at the
+    screen's sample alone, "full" the whole r of a block the screen declined.
+    With ``decline``, r at the screen's sample reads 0, below the smallest
+    normal |r| the screen accepts, so the screen declines every block."""
+    calls, real = {"screened": 0, "full": 0}, cpa._correlations
+
+    def correlations(*args, **kwargs):
+        r = real(*args, **kwargs)
+        screened = r.shape[-2:] == (1, 1)
+        calls["screened" if screened else "full"] += 1
+        return np.zeros_like(r) if screened and decline else r
+    monkeypatch.setattr(cpa, "_correlations", correlations)
+    return calls
+
+
+def _screened_and_declined(monkeypatch, trace_sets, stride):
+    """Each set's evolution values as the walk gives them, then with every
+    screen declined, and the blocks the first walk declined and walked."""
+    walks = []
+    for decline in (False, True):
+        with monkeypatch.context() as patch:
+            calls = _peak_r_calls(patch, decline)
+            walks.append([evolution.values for _, evolution in cpa_attack_sets(trace_sets, 0,
+                                                                                 stride)])
+            walks.append(calls["full"])
+    screened, declined_blocks, declined, blocks = walks
+    return screened, declined, declined_blocks, blocks
+
+
+@settings(max_examples=25)
+@given(n=st.integers(20, 900), samples=st.integers(2, 40), stride=st.integers(1, 400),
+       sigma=st.sampled_from([0.5, 4.0, 30.0]), baseline=st.sampled_from([0.0, 1e3]),
+       seed=st.integers(0, 2 ** 16))
+def test_screened_peak_r_equals_the_full_kernel(n, samples, stride, sigma, baseline, seed):
+    config = LeakageConfig.equal_weights(1.0, baseline=baseline, noise_sigma=sigma,
+                                         samples_per_trace=samples, poi_index=samples // 3)
+    ts = simulate_campaign(KEY, n, config, seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        screened, declined, *_ = _screened_and_declined(monkeypatch, [ts], stride)
+    assert screened[0].tobytes() == declined[0].tobytes()
+    expected = accumulator_evolution(ts, 0, checkpoint_schedule(n, stride))
+    assert screened[0].tobytes() == expected.tobytes()
+
+
+def test_screen_serves_groups_and_declines_ties_constants_and_one_trace(monkeypatch):
+    # A 3-set S=6 group, in blocks of 14, 14 and 3 checkpoints: every block
+    # is screened, none declined.
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=6, poi_index=2)
+    augmentations = [None, Augmentation(0, 2, 6.0), Augmentation(0, 5, 2.0)]
+    grid = list(simulate_offset_grid(KEY, 3050, config, 12, augmentations))
+    screened, declined, declined_blocks, blocks = _screened_and_declined(monkeypatch, grid, 100)
+    assert declined_blocks == 0 and blocks == 3
+    for values, reference in zip(screened, declined):
+        assert values.tobytes() == reference.tobytes()
+    # Every sample twice ties each guess's top two: each block is declined
+    # and the argmax keeps the first.  A constant sample (var_y = 0) declines
+    # every block too, and at stride 1 the first block holds n = 1 (var_x = 0).
+    ts = grid[1]
+    doubled = TraceSet(np.hstack([ts.samples, ts.samples]), ts.plaintexts, ts.ciphertexts)
+    constant = TraceSet(np.hstack([ts.samples, np.full((len(ts), 1), 2.0, np.float32)]),
+                        ts.plaintexts, ts.ciphertexts)
+    for traces, stride in ((doubled, 100), (constant, 100), (ts, 1)):
+        screened, declined, declined_blocks, blocks = _screened_and_declined(
+            monkeypatch, [traces], stride)
+        assert screened[0].tobytes() == declined[0].tobytes()
+        assert declined_blocks == (blocks if stride > 1 else 1) and blocks > 1
+
+
+def test_screen_declines_a_subnormal_variance_product():
+    # var_x = 1.5 against var_y of 3 and 4 subnormal ulps: the products round
+    # to 4 and 6 ulps, so q prefers sample 1 where the full |r| prefers
+    # sample 0.  The guard on the variance products must decline the block.
+    ulp = np.nextafter(0.0, 1.0)
+    sums = (np.array([2.0]), np.zeros((1, 256)), np.full((1, 256), 1.5),
+            np.zeros((1, 1, 2)), np.array([[[3 * ulp, 4 * ulp]]]),
+            np.broadcast_to(np.sqrt(ulp) * np.array([1.0, 1.2]), (1, 1, 256, 2)).copy())
+    q = np.abs(sums[5]) / np.sqrt(sums[4])[..., None, :]
+    full = cpa._correlations(*sums)
+    assert q.argmax(-1).max() == 1 and np.abs(full).argmax(-1).max() == 0
+    peak = cpa._peak_r(*sums, np.empty((1, 1, 256, 2)), np.empty((1, 1, 256, 2)))
+    assert peak.tobytes() == full[..., :1].tobytes()

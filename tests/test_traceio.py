@@ -12,12 +12,13 @@ from scakit.leakage import LeakageConfig, simulate_campaign
 from scakit.traceio import (
     SctrFormatError,
     TraceImportError,
-    export_raw,
     import_raw,
     read_sctr,
     write_sctr,
 )
 from scakit.traces import TraceSet
+
+from helpers import export_raw
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"
 
