@@ -20,7 +20,6 @@ from .aes import (
 )
 from .cpa import (
     AttackResult,
-    CorrelationAccumulator,
     CorrelationEvolution,
     cpa_attack,
     cpa_attack_sets,

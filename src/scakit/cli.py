@@ -45,7 +45,7 @@ from .cpa import CHECKPOINT_STRIDE, checkpoint_schedule, cpa_attack
 from .hd import attack_offset_grid, fit_hd_line, group_by_hd
 from .leakage import (Augmentation, LeakageConfig, Trigger, ro_offset_model, simulate_campaign,
                       simulate_offset_grid)
-from .traceio import import_raw, read_sctr, write_sctr
+from .traceio import check_sctr_fields, import_raw, read_sctr, write_sctr
 
 # The campaign parameters: name -> (type, default, help).  The name is
 # the config-file key and, with "-" for "_", the long flag; the type
@@ -160,6 +160,7 @@ def cmd_simulate(args) -> int:
         augmentation = Augmentation(params["augment_byte"], params["augment_bit"],
                                     params["offset"], params["trigger"])
     config = _build_leakage_config(params, augmentation)
+    check_sctr_fields(params["n"], params["samples"], params["seed"])
     trace_set = simulate_campaign(params["key"], params["n"], config, params["seed"])
     write_sctr(trace_set, args.output)
     effective = {k: params[k] for k in sorted(params)}
@@ -288,6 +289,7 @@ def cmd_sweep(args) -> int:
     augmentations = [Augmentation(params["augment_byte"], bit, offset, params["trigger"])
                      for bit, offset in points]
     config = _build_leakage_config(params, None)
+    check_sctr_fields(params["n"], params["samples"], params["seed"])
     checkpoint_schedule(params["n"], args.stride)
     correct = aes.correct_last_round_guess(params["key"], args.byte)
 
@@ -383,8 +385,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(json.dumps({"error": str(exc) or type(exc).__name__}), file=sys.stderr)
         return 1
 
 

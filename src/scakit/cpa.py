@@ -44,72 +44,21 @@ def pearson(xs, ys) -> float:
     return math.fsum(x * y) / math.sqrt(vx * vy)
 
 
-class CorrelationAccumulator:
-    """Single-pass sums for Pearson r of every guess against every sample.
-
-    All sums are float64.  Accumulators over disjoint trace ranges can be
-    merged; merging is commutative and associative over the sum fields.
-    """
-
-    def __init__(self, n_guesses=256, n_samples=1):
-        self.n = 0
-        self.sum_x, self.sum_xx = np.zeros((2, n_guesses))
-        self.sum_y, self.sum_yy = np.zeros((2, n_samples))
-        self.sum_xy = np.zeros((n_guesses, n_samples))
-
-    def update(self, hypotheses, samples):
-        """Fold in a batch: ``hypotheses`` (m, n_guesses) model values,
-        ``samples`` (m, n_samples) trace values."""
-        x = np.asarray(hypotheses, dtype=np.float64)
-        y = np.asarray(samples, dtype=np.float64)
-        if x.ndim != 2 or y.ndim != 2 or len(x) != len(y):
-            raise ValueError("hypotheses and samples must be 2-D with matching rows")
-        if x.shape[1] != len(self.sum_x) or y.shape[1] != len(self.sum_y):
-            raise ValueError("batch width does not match accumulator dimensions")
-        self.n += len(x)
-        self.sum_x += x.sum(axis=0)
-        self.sum_xx += (x * x).sum(axis=0)
-        out = [*np.empty((2, 1, y.shape[1])), (x.T @ y)[None]]
-        _add_samples((self.sum_y, self.sum_yy, self.sum_xy), y, max(len(y), 1), out)
-        self.sum_y, self.sum_yy, self.sum_xy = (total[0] for total in out)
-
-    def merge(self, other) -> "CorrelationAccumulator":
-        """Absorb another accumulator of the same dimensions, built over disjoint traces."""
-        if other.sum_xy.shape != self.sum_xy.shape:
-            raise ValueError(f"cannot merge a {other.sum_xy.shape} accumulator into a "
-                             f"{self.sum_xy.shape} one")
-        self.n += other.n
-        self.sum_x += other.sum_x
-        self.sum_xx += other.sum_xx
-        self.sum_y += other.sum_y
-        self.sum_yy += other.sum_yy
-        self.sum_xy += other.sum_xy
-        return self
-
-    def correlations(self) -> np.ndarray:
-        """Signed Pearson r as an (n_guesses, n_samples) array; pairs with
-        zero variance give 0.0."""
-        if self.n < 2:
-            return np.zeros_like(self.sum_xy)
-        return _correlations(np.float64(self.n), self.sum_x, self.sum_xx, self.sum_y,
-                             self.sum_yy, self.sum_xy)
-
-
-def _add_samples(carry, y, stride, out, yy=None):
-    """Running sums ``out = (sum_y, sum_yy[, sum_xy])`` at the end of each
-    ``stride``-row segment of the batch ``y`` (..., m, S), the last maybe
+def _add_samples(carry, y, stride, out, yy):
+    """Running sums ``out = (sum_y, sum_yy, sum_xy)`` at the end of each
+    ``stride``-row segment of the batch ``y`` (group, m, S), the last maybe
     shorter, on a segment axis in place of y's row axis: ``carry`` plus the
     segments in order; ``sum_xy`` comes in holding each segment's x.T @ y."""
-    axis, full = y.ndim - 2, y.shape[-2] // stride
-    shape, first = (*y.shape[:axis], full, stride, y.shape[-1]), (slice(None),) * axis + (0,)
+    full = y.shape[1] // stride
     for part, dest in zip((y, np.multiply(y, y, out=yy)), out):
-        part[..., :full * stride, :].reshape(shape).sum(axis=axis + 1, out=dest[..., :full, :])
-        if full < dest.shape[axis]:
-            part[..., full * stride:, :].sum(axis=axis, out=dest[..., full, :])
+        part[:, :full * stride].reshape(len(y), full, stride, y.shape[2]).sum(
+            axis=2, out=dest[:, :full])
+        if full < dest.shape[1]:
+            part[:, full * stride:].sum(axis=1, out=dest[:, full])
     for total, dest in zip(carry, out):
-        np.add(total, dest[first], out=dest[first])
-        if dest.shape[axis] > 1:
-            np.cumsum(dest, axis=axis, out=dest)
+        np.add(total, dest[:, 0], out=dest[:, 0])
+        if dest.shape[1] > 1:
+            np.cumsum(dest, axis=1, out=dest)
 
 
 def _moments(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out=None):
@@ -234,8 +183,8 @@ def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE)
     checkpoints the hypothesis segment is built from the ciphertexts and, at
     each checkpoint, widened once into the float64 buffer ``x`` for every
     set's ``x.T @ y``; :func:`_add_samples` folds the block into running sums
-    and r comes for the whole group at once, bit for bit as ``correlations``
-    gives it.  The x-side sums are taken from ``x``, exactly, as x is 0..8."""
+    and r comes from them for the whole group at once.  The x-side sums are
+    taken from ``x``, exactly, as x is 0..8."""
     for checkpoints, group in _groups(trace_sets, checkpoint_stride):
         cts, n_samples, starts = group[0].ciphertexts, group[0].samples_per_trace, [0, *checkpoints]
         block = min(len(checkpoints), max(1, _BLOCK_ELEMENTS // max(

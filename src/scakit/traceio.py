@@ -72,12 +72,21 @@ def _opened(target, mode):
         raise OSError(f"cannot {verb} trace file {target!r}: {exc}") from exc
 
 
+def check_sctr_fields(n_traces, samples_per_trace, seed=None) -> None:
+    """Raise SctrFormatError unless the counts and the seed (None: not recorded) fit
+    the SCTR header's fields: the sizes a campaign may have, checked before any work."""
+    fields = ("n_traces", n_traces), ("samples_per_trace", samples_per_trace), ("seed", seed or 0)
+    for (name, value), code in zip(fields, _HEADER.format[-3:]):
+        bits = 8 * struct.calcsize("<" + code)
+        if not 0 <= value < 1 << bits:
+            raise SctrFormatError(f"{name} {value} does not fit SCTR's {bits}-bit field")
+
+
 def write_sctr(trace_set: TraceSet, destination) -> None:
     """Serialize a trace set to ``destination`` (path or binary file)."""
     flags = _FLAG_TRUE_KEY if trace_set.true_key is not None else 0
-    seed = trace_set.seed if trace_set.seed is not None else 0
-    if not 0 <= seed < 2 ** 64:
-        raise SctrFormatError(f"seed {seed} does not fit the header's 64-bit field")
+    seed = trace_set.seed or 0
+    check_sctr_fields(trace_set.n_traces, trace_set.samples_per_trace, seed)
     records = np.empty(trace_set.n_traces, dtype=_record_dtype(trace_set.samples_per_trace))
     records["plaintext"] = trace_set.plaintexts
     records["ciphertext"] = trace_set.ciphertexts

@@ -1,5 +1,6 @@
 """Test helpers: the scalar CPA model, an oracle for ``aes.hypothesis_matrix``
-built from ``INV_SBOX`` and ``HW_TABLE`` alone; a writer of the raw float32 +
+built from ``INV_SBOX`` and ``HW_TABLE`` alone; a reference for the CPA walk's
+evolution built from public names alone; a writer of the raw float32 +
 metadata CSV capture format that ``import_raw`` reads; and the commands whose
 outputs the recorded digests pin."""
 
@@ -31,6 +32,28 @@ def hypothetical_power(ct, key_guess, byte_index) -> int:
     """Model value for CPA: Hamming distance of the predicted overwrite,
     i.e. the Hamming weight of :func:`last_round_transitions`."""
     return int(aes.HW_TABLE[last_round_transitions(ct, key_guess, byte_index)])
+
+
+def reference_evolution(traces, byte_index, checkpoints):
+    """(256, checkpoints) r of each guess at its sample of largest |r|, from
+    running float64 sums that take each segment between checkpoints in turn;
+    r is written out in the CPA kernel's order of operations, so it has the
+    walk's bits, and zero variance on either side gives r = 0."""
+    hyp = aes.hypothesis_matrix(traces.ciphertexts, byte_index)
+    sums, values, start = [0] * 5, [], 0
+    for n in checkpoints:
+        # row-major, as the walk's buffers are: the layout picks the order of a column sum
+        x, y = (np.ascontiguousarray(a[start:n], np.float64) for a in (hyp, traces.samples))
+        parts = x.sum(0), (x * x).sum(0), y.sum(0), (y * y).sum(0), x.T @ y
+        sum_x, sum_xx, sum_y, sum_yy, sum_xy = sums = [a + b for a, b in zip(sums, parts)]
+        cov = sum_xy - sum_x[:, None] * sum_y[None, :] / n
+        var_x = np.maximum(sum_xx - sum_x ** 2 / n, 0.0)
+        var_y = np.maximum(sum_yy - sum_y ** 2 / n, 0.0)
+        denom = np.sqrt(var_x[:, None] * var_y[None, :])
+        r = np.where(denom == 0, 0.0, cov / np.where(denom == 0, 1.0, denom))
+        values.append(r[np.arange(256), np.abs(r).argmax(axis=1)])
+        start = n
+    return np.array(values).T
 
 
 def export_raw(trace_set, samples_path, meta_path) -> None:

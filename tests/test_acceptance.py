@@ -38,7 +38,7 @@ import pytest
 
 import scakit as sk
 from scakit import aes, cli
-from scakit.cpa import CorrelationAccumulator, pearson
+from scakit.cpa import pearson
 
 from helpers import export_raw, last_round_transitions
 
@@ -224,20 +224,19 @@ def test_criterion_08_streaming_numerics():
     hyp = aes.hypothesis_matrix(traces.ciphertexts, 0).astype(np.float64)
     samples = traces.samples.astype(np.float64)
 
-    streamed = CorrelationAccumulator(256, 2)
-    streamed.update(hyp, samples)
+    # the CPA walk over one 10k segment, against two-pass r at each guess's peak sample
+    streamed = sk.cpa_attack(traces, 0, 10_000)[1].values[:, -1]
     reference = np.empty((256, 2))
     for g in range(256):
         for s in range(2):
             reference[g, s] = pearson(hyp[:, g], samples[:, s])
-    two_pass_err = float(np.max(np.abs(streamed.correlations() - reference)))
+    peak = reference[np.arange(256), np.abs(reference).argmax(axis=1)]
+    two_pass_err = float(np.max(np.abs(streamed - peak)))
 
-    merged = CorrelationAccumulator(256, 2)
-    for lo, hi in ((0, 2500), (2500, 2501), (2501, 9000), (9000, 10_000)):
-        part = CorrelationAccumulator(256, 2)
-        part.update(hyp[lo:hi], samples[lo:hi])
-        merged.merge(part)
-    merge_err = float(np.max(np.abs(merged.correlations() - streamed.correlations())))
+    # the same sums split into segments of 1, 2500, 2501 and 6499 traces
+    merge_err = max(float(np.max(np.abs(sk.cpa_attack(traces, 0, stride)[1].values[:, -1]
+                                        - streamed)))
+                    for stride in (1, 2500, 2501, 6499))
 
     ok = two_pass_err < 1e-12 and merge_err < 1e-12
     detail = report("8 streaming numerics", ok,

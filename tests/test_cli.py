@@ -285,6 +285,40 @@ def test_simulate_rejects_seed_the_header_cannot_hold(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [2 ** 32, 10 ** 20])
+@pytest.mark.parametrize("flag", ["--n", "--samples"])
+@pytest.mark.parametrize("command", [["simulate"], *(["sweep", "--offsets", "0", "--bits", "2",
+                                                       "--stride", stride] for stride in (1, 100))],
+                         ids=["simulate", "sweep-stride-1", "sweep-stride-100"])
+def test_sizes_past_the_header_fields_are_one_json_error(tmp_path, monkeypatch, capsys, command,
+                                                         flag, value):
+    # The size rule fires before any work: before the checkpoints are listed
+    # (a MemoryError at 10**20 traces, an OverflowError at stride 1) and
+    # before the first chunk is simulated.
+    def never(*args, **kwargs):
+        raise AssertionError("work began before the size rule")
+    for name in ("checkpoint_schedule", "simulate_campaign", "simulate_offset_grid"):
+        monkeypatch.setattr(cli, name, never)
+    out = tmp_path / "x.out"
+    assert run(*command, flag, value, "-o", out) == 1
+    field = "n_traces" if flag == "--n" else "samples_per_trace"
+    assert assert_json_error(capsys, out) == f"{field} {value} does not fit SCTR's 32-bit field"
+
+
+@pytest.mark.parametrize("error,message", [
+    (MemoryError(), "MemoryError"),
+    (MemoryError("Unable to allocate 8.00 EiB for an array with shape (1 << 60,)"),
+     "Unable to allocate 8.00 EiB for an array with shape (1 << 60,)"),
+])
+def test_out_of_memory_is_one_json_error(tmp_path, monkeypatch, capsys, error, message):
+    def exhausted(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "simulate_campaign", exhausted)
+    out = tmp_path / "x.sctr"
+    assert run("simulate", "--n", 4, "-o", out) == 1
+    assert assert_json_error(capsys, out) == message
+
+
 @pytest.mark.parametrize("flag", ["--offset", "--weight", "--sigma", "--baseline"])
 def test_simulate_rejects_non_finite_parameters(tmp_path, capsys, flag):
     out = tmp_path / "x.sctr"
@@ -689,9 +723,11 @@ def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
 # The fuzz below draws valid campaigns (campaign_params) and flags, and half
 # the time replaces or adds one value from BAD; every run must end in output
 # or one JSON error, never a traceback.  No draw asks for a large campaign:
-# n <= 40, samples <= 16, grids <= 2 x 2.
+# n <= 40, samples <= 16, grids <= 2 x 2, and the size rule rejects the two
+# BAD counts past SCTR's 32-bit fields before any work.
 BAD = st.sampled_from(["", "abc", "nan", "inf", "-inf", "-1", "1e400", "1e39", "0x10", "1.5",
-                       "8", "16", "00ff", "zz" * 16, "static"])
+                       "8", "16", "00ff", "zz" * 16, "static", "4294967296",
+                       "100000000000000000000"])
 
 
 @st.composite

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from scakit import aes, cpa
 from scakit.cpa import (
     AttackResult,
-    CorrelationAccumulator,
     CorrelationEvolution,
     checkpoint_schedule,
     cpa_attack,
@@ -19,7 +18,7 @@ from scakit.leakage import Augmentation, LeakageConfig, simulate_campaign, simul
 from scakit.traceio import import_raw
 from scakit.traces import TraceSet
 
-from helpers import export_raw
+from helpers import export_raw, reference_evolution
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"  # round-10 key byte 0 is 0x33
 CORRECT_BYTE0 = 51
@@ -51,65 +50,36 @@ def two_pass_correlations(hyp, samples):
 
 
 def test_accumulator_matches_two_pass():
-    rng = np.random.default_rng(0)
-    hyp = rng.integers(0, 9, size=(2000, 16)).astype(np.float64)
-    samples = rng.normal(0.0, 3.0, size=(2000, 3))
-    acc = CorrelationAccumulator(16, 3)
-    acc.update(hyp, samples)
-    streamed = acc.correlations()
-    reference = two_pass_correlations(hyp, samples)
-    assert np.max(np.abs(streamed - reference)) < 1e-12
+    # the walk's running sums, over 20 checkpoints, against the textbook r at
+    # each guess's peak sample
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=3.0, samples_per_trace=3, poi_index=1)
+    ts = simulate_campaign(KEY, 2000, config, seed=0)
+    streamed = cpa_attack(ts, 0)[1].values[:, -1]
+    hyp = aes.hypothesis_matrix(ts.ciphertexts, 0)
+    reference = two_pass_correlations(hyp, ts.samples)
+    peak = np.abs(reference).argmax(axis=1)
+    assert np.max(np.abs(streamed - reference[np.arange(256), peak])) < 1e-12
     # spot-check against an independent implementation as well
-    assert streamed[3, 1] == pytest.approx(np.corrcoef(hyp[:, 3], samples[:, 1])[0, 1],
-                                           abs=1e-12)
+    assert streamed[3] == pytest.approx(np.corrcoef(hyp[:, 3], ts.samples[:, peak[3]])[0, 1],
+                                        abs=1e-12)
 
 
-SPLIT_RNG = np.random.default_rng(1)
-SPLIT_HYP = SPLIT_RNG.integers(0, 9, size=(5000, 8)).astype(np.float64)
-SPLIT_SAMPLES = SPLIT_RNG.normal(-60.0, 6.0, size=(5000, 2))
+SPLIT_CONFIG = LeakageConfig.equal_weights(1.0, baseline=-60.0, noise_sigma=6.0,
+                                           samples_per_trace=2, poi_index=1)
 
 
-@settings(max_examples=200)
-@given(cuts=st.lists(st.integers(0, 5000), max_size=39))
-@example(cuts=[700, 1500, 1501, 4000])
-def test_accumulator_merge_matches_sequential(cuts):
-    # any split into up to 40 parts; repeated cuts give empty parts
-    seq = CorrelationAccumulator(8, 2)
-    seq.update(SPLIT_HYP, SPLIT_SAMPLES)
-    merged = CorrelationAccumulator(8, 2)
-    bounds = [0, *sorted(cuts), 5000]
-    for lo, hi in zip(bounds, bounds[1:]):
-        part = CorrelationAccumulator(8, 2)
-        part.update(SPLIT_HYP[lo:hi], SPLIT_SAMPLES[lo:hi])
-        merged.merge(part)
-    assert merged.n == seq.n
-    assert np.max(np.abs(merged.correlations() - seq.correlations())) < 1e-12
-
-
-def test_accumulator_rejects_mismatched_batches():
-    acc = CorrelationAccumulator(4, 2)
-    with pytest.raises(ValueError, match="matching rows"):
-        acc.update(np.zeros((3, 4)), np.zeros((2, 2)))
-    for hyp, samples in ((np.zeros((3, 5)), np.zeros((3, 2))),
-                         (np.zeros((3, 4)), np.zeros((3, 3)))):
-        with pytest.raises(ValueError, match="batch width"):
-            acc.update(hyp, samples)
-    assert acc.n == 0
-
-
-@pytest.mark.parametrize("other_dims", [(4, 3), (5, 2)])
-def test_failed_merge_leaves_the_accumulator_unchanged(other_dims):
-    rng = np.random.default_rng(3)
-    acc, other = CorrelationAccumulator(4, 2), CorrelationAccumulator(*other_dims)
-    acc.update(rng.integers(0, 9, (3, 4)), rng.normal(size=(3, 2)))
-    other.update(rng.integers(0, 9, (5, other_dims[0])), rng.normal(size=(5, other_dims[1])))
-    before = {name: np.copy(value) for name, value in vars(acc).items()}
-    with pytest.raises(ValueError, match=rf"merge a \({other_dims[0]}, {other_dims[1]}\) "
-                                         r"accumulator into a \(4, 2\) one"):
-        acc.merge(other)
-    assert vars(acc).keys() == before.keys()
-    for name, value in vars(acc).items():
-        assert np.array_equal(value, before[name]), name
+@settings(max_examples=40, deadline=None)
+@given(stride=st.integers(1, 5000))
+@example(stride=1)
+@example(stride=2500)
+@example(stride=2501)
+def test_accumulator_merge_matches_sequential(stride):
+    # sums split every stride traces, and carried from block to block, give
+    # the r of one 5000-trace segment
+    ts = simulate_campaign(KEY, 5000, SPLIT_CONFIG, seed=1)
+    whole = cpa_attack(ts, 0, 5000)[1].values[:, -1]
+    split = cpa_attack(ts, 0, stride)[1].values[:, -1]
+    assert np.max(np.abs(split - whole)) < 1e-12
 
 
 def test_accumulator_holds_a_large_dc_baseline():
@@ -119,25 +89,21 @@ def test_accumulator_holds_a_large_dc_baseline():
     config = LeakageConfig.equal_weights(1.0, baseline=32768.0, noise_sigma=4.0,
                                          samples_per_trace=2, poi_index=1)
     ts = simulate_campaign(KEY, n, config, seed=6)
-    hyp = aes.hypothesis_matrix(ts.ciphertexts, 0)
-    acc = CorrelationAccumulator(256, 2)
-    for lo in range(0, n, 1000):
-        acc.update(hyp[lo:lo + 1000], ts.samples[lo:lo + 1000])
-    reference = two_pass_correlations(hyp, ts.samples)
-    assert np.max(np.abs(acc.correlations() - reference)) < 1e-8
-    result, _ = cpa_attack(ts, 0)
+    result, evolution = cpa_attack(ts, 0, 1000)
+    reference = two_pass_correlations(aes.hypothesis_matrix(ts.ciphertexts, 0), ts.samples)
+    peak = reference[np.arange(256), np.abs(reference).argmax(axis=1)]
+    assert np.max(np.abs(evolution.values[:, -1] - peak)) < 1e-8
     assert result.correct_rank == 1
 
 
 def test_accumulator_zero_variance_convention():
-    acc = CorrelationAccumulator(2, 1)
-    acc.update(np.array([[1.0, 4.0], [1.0, 5.0], [1.0, 6.0]]), np.zeros((3, 1)))
-    r = acc.correlations()
-    assert r[0, 0] == 0.0 and r[1, 0] == 0.0
-    # constant samples whose sums round: their covariance residue stays out of r
-    acc = CorrelationAccumulator(1, 1)
-    acc.update(np.array([[1.0], [2.0], [4.0]]), np.full((3, 1), 0.1))
-    assert acc.correlations()[0, 0] == 0.0
+    # A constant 0.1 column sums with rounding (var_y comes out 7e-15 at the
+    # last checkpoint), a zero column exactly: neither leaves a residue in r.
+    ts = simulate_campaign(KEY, 1000, LeakageConfig.equal_weights(1.0, noise_sigma=4.0), seed=5)
+    walks = [cpa_attack(TraceSet(np.hstack([ts.samples, np.full((1000, 1), value, np.float32)]),
+                                 ts.plaintexts, ts.ciphertexts), 0, 7)[1].values
+             for value in (0.0, 0.1)]
+    assert walks[0].tobytes() == walks[1].tobytes()
 
 
 def test_checkpoint_schedule():
@@ -235,20 +201,6 @@ def test_rank_of_guess_is_total(tmp_path):
     assert result.correct_guess is None and result.correct_rank is None
 
 
-def accumulator_evolution(traces, byte_index, checkpoints):
-    """The evolution one CorrelationAccumulator update and correlations
-    call per checkpoint gives."""
-    hyp = aes.hypothesis_matrix(traces.ciphertexts, byte_index)
-    acc = CorrelationAccumulator(256, traces.samples_per_trace)
-    values, start = [], 0
-    for count in checkpoints:
-        acc.update(hyp[start:count], traces.samples[start:count])
-        start = count
-        r = acc.correlations()
-        values.append(r[np.arange(256), np.abs(r).argmax(axis=1)])
-    return np.array(values).T
-
-
 # (n, samples per trace, stride, noise, baseline): S=1 over more
 # checkpoints than one batch holds, S=8, n not a multiple of the stride,
 # a stride past n, S=300 (one checkpoint per batch) with a shorter last
@@ -267,7 +219,7 @@ def test_batched_evolution_equals_accumulator_loop(n, samples, stride, sigma, ba
                                          samples_per_trace=samples, poi_index=samples // 2)
     ts = simulate_campaign(KEY, n, config, seed=n)
     _, evolution = cpa_attack(ts, 5, stride)
-    expected = accumulator_evolution(ts, 5, checkpoint_schedule(n, stride))
+    expected = reference_evolution(ts, 5, checkpoint_schedule(n, stride))
     assert evolution.values.tobytes() == expected.tobytes()
 
 
@@ -279,7 +231,7 @@ def test_campaigns_sharing_ciphertexts_share_x_sums():
     evolutions = [evolution for _, evolution in cpa_attack_sets(grid, 0, 100)]
     assert len(evolutions) == len(grid)
     for traces, evolution in zip(grid, evolutions):
-        expected = accumulator_evolution(traces, 0, checkpoint_schedule(2501, 100))
+        expected = reference_evolution(traces, 0, checkpoint_schedule(2501, 100))
         assert evolution.values.tobytes() == expected.tobytes()
 
 
@@ -298,7 +250,7 @@ def test_lockstep_groups_keep_each_evolution_and_the_error_contract(monkeypatch)
     attacks = list(cpa_attack_sets(grid, 0, 100))
     assert len(attacks) == len(grid)
     for traces, (_, evolution) in zip(grid, attacks):
-        expected = accumulator_evolution(traces, 0, checkpoints)
+        expected = reference_evolution(traces, 0, checkpoints)
         assert evolution.values.tobytes() == expected.tobytes()
     # A set with other ciphertexts, starting a group or inside one: the sets
     # before it are walked and yielded, then the error is raised.
@@ -309,10 +261,26 @@ def test_lockstep_groups_keep_each_evolution_and_the_error_contract(monkeypatch)
         attacks = cpa_attack_sets(sets, 0, 100)
         for traces in sets[:bad]:
             _, evolution = next(attacks)
-            expected = accumulator_evolution(traces, 0, checkpoints)
+            expected = reference_evolution(traces, 0, checkpoints)
             assert evolution.values.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="must share their ciphertexts"):
             next(attacks)
+
+
+def test_a_new_sample_count_starts_a_new_group():
+    # Sets sharing ciphertexts with S = 1, 1, 3, 1 walk as groups of S = 1
+    # (two sets), 3 and 1, and each keeps the evolution it has on its own.
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=3, poi_index=1)
+    ts = simulate_campaign(KEY, 1250, config, seed=13)
+    sets = [TraceSet(ts.samples[:, columns], ts.plaintexts, ts.ciphertexts)
+            for columns in ([1], [0], [0, 1, 2], [2])]
+    assert [[traces.samples_per_trace for traces in group]
+            for _, group in cpa._groups(sets, 100)] == [[1, 1], [3], [1]]
+    attacks = list(cpa_attack_sets(sets, 0, 100))
+    assert len(attacks) == len(sets)
+    for traces, (_, evolution) in zip(sets, attacks):
+        expected = reference_evolution(traces, 0, checkpoint_schedule(1250, 100))
+        assert evolution.values.tobytes() == expected.tobytes()
 
 
 def test_block_hypothesis_rows_stay_within_the_budget(monkeypatch):
@@ -333,7 +301,7 @@ def test_block_hypothesis_rows_stay_within_the_budget(monkeypatch):
     walks.append([evolution.values for _, evolution in cpa_attack_sets(grid, 0, 100)])
     assert rows == [300] * 16 + [250]
     for traces, values, capped in zip(grid, *walks):
-        expected = accumulator_evolution(traces, 0, checkpoint_schedule(5050, 100))
+        expected = reference_evolution(traces, 0, checkpoint_schedule(5050, 100))
         assert values.tobytes() == capped.tobytes() == expected.tobytes()
 
 
@@ -446,7 +414,7 @@ def test_screened_peak_r_equals_the_full_kernel(n, samples, stride, sigma, basel
     with pytest.MonkeyPatch.context() as monkeypatch:
         screened, declined, *_ = _screened_and_declined(monkeypatch, [ts], stride)
     assert screened[0].tobytes() == declined[0].tobytes()
-    expected = accumulator_evolution(ts, 0, checkpoint_schedule(n, stride))
+    expected = reference_evolution(ts, 0, checkpoint_schedule(n, stride))
     assert screened[0].tobytes() == expected.tobytes()
 
 
