@@ -171,8 +171,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _attack_one(traces, byte_index, stride):
-    result, evolution = cpa_attack(traces, byte_index, stride)
+def _attack_one(traces, byte_index, stride, evolutions=True):
+    result, evolution = cpa_attack(traces, byte_index, stride, evolutions)
     entry = {
         "byte_index": byte_index,
         "target_key_position": int(aes.SR_FORWARD[byte_index]),
@@ -203,7 +203,7 @@ def cmd_attack(args) -> int:
         entries = []
         recovered = np.zeros(16, dtype=np.uint8)
         for byte_index in range(16):
-            _, _, entry = _attack_one(traces, byte_index, args.stride)
+            _, _, entry = _attack_one(traces, byte_index, args.stride, evolutions=False)
             entries.append(entry)
             recovered[entry["target_key_position"]] = entry["best_guess"]
         report["bytes"] = entries

@@ -19,7 +19,7 @@ from .traces import TraceSet
 CHECKPOINT_STRIDE = 100   # traces between two recorded checkpoints unless a caller names a stride
 # Upper bounds, whatever the checkpoint count, on the (sets, checkpoints, 256, samples)
 # elements whose r is computed at once (their float64 bytes also bound a block's uint8
-# hypothesis rows) and a group's evolution elements.
+# hypothesis rows) and a group's evolution elements (its sets' samples, without evolutions).
 _BLOCK_ELEMENTS, _GROUP_ELEMENTS = 1 << 16, 1 << 20
 
 
@@ -91,12 +91,16 @@ def _peak_r(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out, scratch):
     along a guess's row, so ``q = |cov| * (1 / sqrt(var_y))`` orders the samples
     as |r| does to within about 12 ulp while all values are normal floats; a top
     q that clears the runner-up by a relative 1e-12 is r's peak, and r is then
-    computed there alone.  Where a guard fails, the whole r serves the block."""
+    computed there alone.  A sample of zero variance has r = 0 for every guess, so
+    it is screened as q = 0 and left out of the guard on the variance products.
+    Where a guard fails, the whole r serves the block."""
     cov, var_x, var_y = _moments(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out)
-    tiny = np.finfo(np.float64).tiny
+    tiny, live = np.finfo(np.float64).tiny, var_y > 0
     with np.errstate(all="ignore"):   # the guards below catch each 0, inf or NaN made here
-        low, high = var_x.min(-1) * var_y.min(-1), var_x.max(-1) * var_y.max(-1)
-        q = np.multiply(np.abs(cov, out=cov), 1 / np.sqrt(var_y)[..., None, :], out=cov)
+        low = var_x.min(-1) * np.where(live, var_y, np.inf).min(-1)
+        high = var_x.max(-1) * var_y.max(-1)
+        scale = np.divide(1, np.sqrt(var_y), out=np.zeros_like(var_y), where=live)
+        q = np.multiply(np.abs(cov, out=cov), scale[..., None, :], out=cov)
     at = q.argmax(-1)[..., None]
     top = np.take_along_axis(q, at, -1)
     np.put_along_axis(q, at, 0.0, -1)
@@ -128,8 +132,14 @@ class CorrelationEvolution:
         if self.values.ndim != 2 or self.values.shape[1] != len(self.checkpoints):
             raise ValueError(f"values width must match number of checkpoints, in 2-D: got "
                              f"shape {self.values.shape} for {len(self.checkpoints)} checkpoints")
-        if not np.all(np.abs(self.values) <= 1.0 + 1e-9):   # NaN fails this too
-            raise ValueError("correlation values outside [-1, 1]")
+        _check_bounded(np.abs(self.values))
+
+
+def _check_bounded(abs_r):
+    """``abs_r``; ValueError unless every |r| is at most 1, to within rounding."""
+    if not np.all(abs_r <= 1.0 + 1e-9):   # NaN fails this too
+        raise ValueError("correlation values outside [-1, 1]")
+    return abs_r
 
 
 @dataclass
@@ -161,23 +171,28 @@ def checkpoint_schedule(n_traces, stride):
     return points
 
 
-def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=CHECKPOINT_STRIDE):
+def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=CHECKPOINT_STRIDE,
+               evolutions=True):
     """Mount the attack on one key byte.
 
-    Returns ``(AttackResult, CorrelationEvolution)``.  The ranking orders
+    Returns ``(AttackResult, CorrelationEvolution)``, the evolution None
+    with ``evolutions=False`` (:func:`cpa_attack_sets`).  The ranking orders
     guesses by descending max-over-samples |r| at the full trace count,
     ties broken by ascending guess value.  When the trace set carries its
     true key, the result also reports the correct guess, its rank and
     the traces-to-disclosure count.  A set on which every guess scores 0
     (fewer than 2 traces, or samples that do not vary) raises ValueError.
     """
-    return next(cpa_attack_sets([traces], byte_index, checkpoint_stride))
+    return next(cpa_attack_sets([traces], byte_index, checkpoint_stride, evolutions))
 
 
-def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE):
+def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE,
+                    evolutions=True):
     """Yield :func:`cpa_attack` of each of ``trace_sets``, which share their
     ciphertexts as ``simulate_offset_grid``'s do; a later set with other
-    ciphertexts raises ValueError once the sets before it are yielded.
+    ciphertexts raises ValueError once the sets before it are yielded.  With
+    ``evolutions=False`` the evolution is None, and a set keeps only its scores
+    and the last checkpoint at which its correct guess did not strictly lead.
 
     A group of sets (:func:`_groups`) is walked in lock-step.  Per block of
     checkpoints the hypothesis segment is built from the ciphertexts and, at
@@ -185,16 +200,20 @@ def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE)
     set's ``x.T @ y``; :func:`_add_samples` folds the block into running sums
     and r comes from them for the whole group at once.  The x-side sums are
     taken from ``x``, exactly, as x is 0..8."""
-    for checkpoints, group in _groups(trace_sets, checkpoint_stride):
+    for checkpoints, group in _groups(trace_sets, checkpoint_stride, evolutions):
         cts, n_samples, starts = group[0].ciphertexts, group[0].samples_per_trace, [0, *checkpoints]
         block = min(len(checkpoints), max(1, _BLOCK_ELEMENTS // max(
             256 * n_samples * len(group), 256 * checkpoint_stride // 8)))
+        keys = [None if traces.true_key is None else traces.true_key.tobytes() for traces in group]
+        correct = {key: aes.correct_last_round_guess(key, byte_index) for key in set(keys) - {None}}
+        holders = {key: [g for g, held in enumerate(keys) if held == key] for key in correct}
+        lost = np.full(len(group), -1)   # per set, the last checkpoint not led by its guess
         # (sum_x, sum_xx); (sum_y, sum_yy) and sum_xy per block parity, the other parity's xy is r
         x_sums, sums = np.zeros((2, block, 256)), np.zeros((2, 2, len(group), block, n_samples))
         xy = np.zeros((2, len(group), block, 256, n_samples))
         x, scratch = np.empty((min(checkpoint_stride, len(cts)), 256)), np.empty_like(xy[0])
         y, yy = np.empty((2, len(group), min(block * checkpoint_stride, len(cts)), n_samples))
-        values = np.empty((len(group), 256, len(checkpoints)))
+        values = np.empty((len(group), 256, len(checkpoints))) if evolutions else None
         for i in range(0, len(checkpoints), block):
             done, p, lo = slice(i, min(i + block, len(checkpoints))), i // block % 2, starts[i]
             k, hi = done.stop - i, checkpoints[done.stop - 1]
@@ -212,23 +231,28 @@ def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE)
             _add_samples(carry, y[:, :hi - lo], checkpoint_stride, out, yy[:, :hi - lo])
             r = (_peak_r if n_samples > 1 else _correlations)(
                 np.array(checkpoints[done], float), *x_sums[:, :k], *out, xy[1 - p][:, :k],
-                scratch[:, :k])
-            values[..., done] = r[..., 0].swapaxes(1, 2)
-        del xy, scratch, x, y, yy, hyp, out, carry, r   # not held while the caller works
-        keys = [None if traces.true_key is None else traces.true_key.tobytes() for traces in group]
-        correct = {key: aes.correct_last_round_guess(key, byte_index) for key in set(keys) - {None}}
-        for curves, key in zip(values, keys):
-            evolution, scores = CorrelationEvolution(checkpoints, curves), np.abs(curves[:, -1])
+                scratch[:, :k])[..., 0]   # (set, checkpoint, guess)
+            abs_r = _check_bounded(np.abs(r))
+            for key, sets in holders.items():
+                last = _last_loss(abs_r[sets], correct[key])
+                lost[sets] = np.where(last < 0, lost[sets], i + last)
+            if evolutions:
+                values[..., done] = r.swapaxes(1, 2)
+        final = abs_r[:, -1].copy()   # the scores
+        del xy, scratch, x, y, yy, hyp, out, carry, r, abs_r   # not held while the caller works
+        for g, guess in enumerate(map(correct.get, keys)):
+            scores, first = final[g], lost[g] + 1
             if not scores.any():
                 raise ValueError("every key guess scores 0, so no key can be ranked: the attack "
                                  "needs at least 2 traces and samples that vary across them")
-            ranking, guess = np.lexsort((np.arange(256), -scores)), correct.get(key)
-            disclosure = None if guess is None else traces_to_disclosure(evolution, guess)
-            yield AttackResult(best_guess=int(ranking[0]), ranking=ranking, scores=scores,
-                               disclosure=disclosure, correct_guess=guess), evolution
+            ranking = np.lexsort((np.arange(256), -scores))
+            disclosure = None if guess is None or first == len(checkpoints) else checkpoints[first]
+            yield (AttackResult(best_guess=int(ranking[0]), ranking=ranking, scores=scores,
+                                disclosure=disclosure, correct_guess=guess),
+                   CorrelationEvolution(checkpoints, values[g]) if evolutions else None)
 
 
-def _groups(trace_sets, stride):
+def _groups(trace_sets, stride, evolutions):
     """Yield ``(checkpoints, group)``: the trace sets, which share the first
     one's ciphertexts, in runs of one sample count within both budgets.  A set
     that cannot be taken ends its group, which is yielded before the error."""
@@ -245,8 +269,9 @@ def _groups(trace_sets, stride):
                 yield checkpoints, group
                 group.clear()
             group.append(traces)
-            if len(group) >= min(_BLOCK_ELEMENTS // traces.samples_per_trace,
-                                 _GROUP_ELEMENTS // len(checkpoints)) // 256:
+            held = 256 * len(checkpoints) if evolutions else traces.samples.size   # each set
+            if len(group) >= min(_BLOCK_ELEMENTS // (256 * traces.samples_per_trace),
+                                 _GROUP_ELEMENTS // held):
                 yield checkpoints, group
                 group.clear()
     except Exception:
@@ -262,11 +287,16 @@ def traces_to_disclosure(evolution: CorrelationEvolution, correct_guess) -> int 
     strictly highest |r| at every remaining checkpoint, or None if it
     never stays on top (stable disclosure, not first touch)."""
     aes._check_guess(correct_guess)
-    abs_r = np.abs(evolution.values)
-    rivals = np.delete(abs_r, correct_guess, axis=0).max(axis=0)
-    leads = abs_r[correct_guess] > rivals
-    first = np.flatnonzero(~leads).max(initial=-1) + 1   # just after its last lost checkpoint
-    return int(evolution.checkpoints[first]) if first < len(leads) else None
+    first = _last_loss(np.abs(evolution.values.T), correct_guess) + 1
+    return int(evolution.checkpoints[first]) if first < len(evolution.checkpoints) else None
+
+
+def _last_loss(abs_r, guess):
+    """Index of the last row of each ``abs_r`` (..., checkpoints, 256) at which
+    ``guess`` does not hold the strictly highest |r|, or -1 if it leads at every one."""
+    below, above = abs_r[..., :guess], abs_r[..., guess + 1:]
+    leads = abs_r[..., guess] > np.maximum(below.max(-1, initial=-1.0), above.max(-1, initial=-1.0))
+    return np.where(leads, -1, np.arange(leads.shape[-1])).max(axis=-1)
 
 
 def rank_of_guess(result: AttackResult, guess) -> int:

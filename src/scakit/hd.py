@@ -130,12 +130,13 @@ def attack_offset_grid(trace_sets, byte_index, correct_guess,
     """Yield ``(AttackResult, wrong_horses)`` per trace set, as
     :func:`~scakit.cpa.cpa_attack` and :func:`wrong_horse_scan` give them.
     :func:`~scakit.cpa.cpa_attack_sets` attacks the sets, which share their
-    ciphertexts, a group at a time; the pair classes are built once, from the first.
+    ciphertexts, a group at a time and keeps no evolution; the pair classes are
+    built once, from the first.
     """
     aes._check_guess(correct_guess)
     taken = deque()   # the sets cpa_attack_sets has taken, first in, first out
     pairs, sets = None, (taken.append(traces) or traces for traces in trace_sets)
-    for result, _ in cpa_attack_sets(sets, byte_index, checkpoint_stride):
+    for result, _ in cpa_attack_sets(sets, byte_index, checkpoint_stride, evolutions=False):
         traces = taken.popleft()
         pairs = pairs or _pair_classes(traces.ciphertexts, byte_index)
         yield result, _wrong_horses(pairs, _sample(traces, sample_index), correct_guess)

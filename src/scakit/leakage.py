@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aes
+from .traceio import check_sctr_fields
 from .traces import TraceSet
 
 # Campaigns are generated in fixed chunks: chunk c covers traces
@@ -148,10 +149,12 @@ def simulate_offset_grid(key, n, config: LeakageConfig, seed, augmentations):
 
     The campaign is simulated once; each point derives only its POI column
     again, from the float64 values, and shares the read-only plaintext and
-    ciphertext arrays with the other points.
+    ciphertext arrays with the other points.  Sizes and seeds that SCTR
+    cannot record are rejected before the first chunk is drawn.
     """
     if n < 1:
         raise ValueError(f"campaign needs n >= 1 traces, got {n}")
+    check_sctr_fields(n, config.samples_per_trace, seed)
     true_key, keys = aes.as_block(key), aes.expand_key(key)   # the cipher key and its round keys
     parts = [_base_chunk(keys, n, config, seed, c) for c in range(math.ceil(n / CAMPAIGN_CHUNK))]
     base, poi, toggles, pts, cts = (np.concatenate(arrays) for arrays in zip(*parts))

@@ -102,39 +102,45 @@ def write_sctr(trace_set: TraceSet, destination) -> None:
 def read_sctr(source) -> TraceSet:
     """Parse and validate an SCTR file (path or binary file).
 
-    The file is read once; the returned samples, plaintexts and
-    ciphertexts are read-only views of that buffer.
+    The header is checked against the file's size, then the rest is read into
+    one numpy buffer, of which the returned arrays are read-only views.  A
+    stream that cannot seek, such as a pipe, is read whole first.
     """
     with _opened(source, "rb") as fh:
-        data = fh.read()
         name = getattr(fh, "name", "<stream>")
+        if not getattr(fh, "seekable", lambda: False)():
+            fh = io.BytesIO(fh.read())
+        start = fh.tell()
+        size = fh.seek(0, io.SEEK_END) - start
+        fh.seek(start)
+        if size < _HEADER.size:
+            raise SctrFormatError(
+                f"{name}: truncated header, need {_HEADER.size} bytes but file has {size}")
+        magic, version, flags, n_traces, spt, seed = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != SCTR_MAGIC:
+            raise SctrFormatError(f"{name}: bad magic {magic!r}, expected {SCTR_MAGIC!r}")
+        if version != SCTR_VERSION:
+            raise SctrFormatError(f"{name}: unsupported version {version}, expected {SCTR_VERSION}")
+        if flags & ~_FLAG_TRUE_KEY:
+            raise SctrFormatError(f"{name}: unknown flag bits {flags & ~_FLAG_TRUE_KEY:#06x}")
+        if spt < 1:
+            raise SctrFormatError(f"{name}: samples_per_trace must be >= 1, header says {spt}")
+        key_len = 16 if flags & _FLAG_TRUE_KEY else 0
+        expected = _HEADER.size + key_len + n_traces * (32 + 4 * spt)
+        if size == expected:
+            body = np.empty(size - _HEADER.size, np.uint8)
+            size = _HEADER.size + fh.readinto(body)   # less if the file has shrunk since
+        if size != expected:
+            raise SctrFormatError(
+                f"{name}: size mismatch, header declares {expected} bytes but file has {size}")
 
-    if len(data) < _HEADER.size:
-        raise SctrFormatError(
-            f"{name}: truncated header, need {_HEADER.size} bytes but file has {len(data)}")
-    magic, version, flags, n_traces, spt, seed = _HEADER.unpack_from(data)
-    if magic != SCTR_MAGIC:
-        raise SctrFormatError(f"{name}: bad magic {magic!r}, expected {SCTR_MAGIC!r}")
-    if version != SCTR_VERSION:
-        raise SctrFormatError(f"{name}: unsupported version {version}, expected {SCTR_VERSION}")
-    if flags & ~_FLAG_TRUE_KEY:
-        raise SctrFormatError(f"{name}: unknown flag bits {flags & ~_FLAG_TRUE_KEY:#06x}")
-    if spt < 1:
-        raise SctrFormatError(f"{name}: samples_per_trace must be >= 1, header says {spt}")
-
-    key_len = 16 if flags & _FLAG_TRUE_KEY else 0
-    expected = _HEADER.size + key_len + n_traces * (32 + 4 * spt)
-    if len(data) != expected:
-        raise SctrFormatError(
-            f"{name}: size mismatch, header declares {expected} bytes but file has {len(data)}")
-
-    records = np.frombuffer(data, dtype=_record_dtype(spt), count=n_traces,
-                            offset=_HEADER.size + key_len)
+    body.flags.writeable = False
+    records = np.frombuffer(body, dtype=_record_dtype(spt), count=n_traces, offset=key_len)
     return TraceSet(
         samples=records["samples"],
         plaintexts=records["plaintext"],
         ciphertexts=records["ciphertext"],
-        true_key=data[_HEADER.size:_HEADER.size + 16] if key_len else None,
+        true_key=body[:16] if key_len else None,
         seed=int(seed) if seed != 0 else None,
     )
 

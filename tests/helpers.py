@@ -1,12 +1,14 @@
 """Test helpers: the scalar CPA model, an oracle for ``aes.hypothesis_matrix``
 built from ``INV_SBOX`` and ``HW_TABLE`` alone; a reference for the CPA walk's
 evolution built from public names alone; a writer of the raw float32 +
-metadata CSV capture format that ``import_raw`` reads; and the commands whose
-outputs the recorded digests pin."""
+metadata CSV capture format that ``import_raw`` reads; the traced-memory peak
+of a call, which every memory test reads; and the commands whose outputs the
+recorded digests pin."""
 
 import contextlib
 import csv
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,17 @@ def reference_evolution(traces, byte_index, checkpoints):
         values.append(r[np.arange(256), np.abs(r).argmax(axis=1)])
         start = n
     return np.array(values).T
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def export_raw(trace_set, samples_path, meta_path) -> None:

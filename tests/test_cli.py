@@ -21,7 +21,7 @@ from scakit.hd import wrong_horse_scan
 from scakit.leakage import Augmentation, LeakageConfig, simulate_campaign
 from scakit.traceio import read_sctr
 
-from helpers import export_raw, write_digest_outputs
+from helpers import export_raw, traced_peak, write_digest_outputs
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"
 CORRECT_BYTE0 = 51
@@ -513,6 +513,18 @@ def test_sweep_table(tmp_path, capsys):
     # a sufficient offset suppresses disclosure in the same campaign
     assert rows["6"]["disclosure"] == ""
     assert int(rows["6"]["wrong_horse_count"]) >= 1
+
+
+def test_sweep_memory_does_not_grow_with_the_checkpoints(tmp_path):
+    # The sweep-s1 shape: 12 points of 20k traces, 200 checkpoints each.  The
+    # grid keeps no evolutions, which alone would take 4.7 MiB, so the traced
+    # peak stays below 7 MiB.
+    def sweep(n):
+        return run("sweep", "--key", KEY, "--sigma", 4, "--seed", 0, "--n", n,
+                   "--offsets", "0,2,4,4.5,6,8", "--bits", "2,5", "-o", tmp_path / "sweep.csv")
+    assert sweep(200) == 0   # imports and first-call set-up, outside the traced run
+    code, peak = traced_peak(lambda: sweep(20000))
+    assert code == 0 and peak < 7 * 2 ** 20
 
 
 # Sweep parameters by flag name; the rest take the defaults below.

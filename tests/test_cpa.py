@@ -246,7 +246,7 @@ def test_lockstep_groups_keep_each_evolution_and_the_error_contract(monkeypatch)
     checkpoints = checkpoint_schedule(2050, 100)
     monkeypatch.setattr(cpa, "_GROUP_ELEMENTS", 2 * 256 * len(checkpoints))
     monkeypatch.setattr(cpa, "_BLOCK_ELEMENTS", 8 * 2 * 256 * 2)
-    assert [len(group) for _, group in cpa._groups(grid, 100)] == [2, 2, 1]
+    assert [len(group) for _, group in cpa._groups(grid, 100, True)] == [2, 2, 1]
     attacks = list(cpa_attack_sets(grid, 0, 100))
     assert len(attacks) == len(grid)
     for traces, (_, evolution) in zip(grid, attacks):
@@ -269,15 +269,15 @@ def test_lockstep_groups_keep_each_evolution_and_the_error_contract(monkeypatch)
 
 def test_a_new_sample_count_starts_a_new_group():
     # Sets sharing ciphertexts with S = 1, 1, 3, 1 walk as groups of S = 1
-    # (two sets), 3 and 1, and each keeps the evolution it has on its own.
+    # (two sets), 3 and 1, and each keeps the evolution it has on its own;
+    # a walk without evolutions gives the same results.
     config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=3, poi_index=1)
     ts = simulate_campaign(KEY, 1250, config, seed=13)
     sets = [TraceSet(ts.samples[:, columns], ts.plaintexts, ts.ciphertexts)
             for columns in ([1], [0], [0, 1, 2], [2])]
     assert [[traces.samples_per_trace for traces in group]
-            for _, group in cpa._groups(sets, 100)] == [[1, 1], [3], [1]]
-    attacks = list(cpa_attack_sets(sets, 0, 100))
-    assert len(attacks) == len(sets)
+            for _, group in cpa._groups(sets, 100, True)] == [[1, 1], [3], [1]]
+    attacks = _attack_both_ways(sets, 100)
     for traces, (_, evolution) in zip(sets, attacks):
         expected = reference_evolution(traces, 0, checkpoint_schedule(1250, 100))
         assert evolution.values.tobytes() == expected.tobytes()
@@ -306,18 +306,85 @@ def test_block_hypothesis_rows_stay_within_the_budget(monkeypatch):
 
 
 def test_attack_sets_reject_an_empty_first_set_and_other_ciphertexts():
+    # with and without evolutions
     empty = TraceSet(np.zeros((0, 1)), np.zeros((0, 16)), np.zeros((0, 16)))
-    with pytest.raises(ValueError, match="cannot attack an empty trace set"):
-        next(cpa_attack_sets([empty], 0))
     config = LeakageConfig.equal_weights(1.0, noise_sigma=1.0)
     first = simulate_campaign(KEY, 500, config, seed=1)
-    for other in (simulate_campaign(KEY, 500, config, seed=2),    # other plaintexts
-                  simulate_campaign(KEY, 400, config, seed=1),    # fewer traces
-                  empty):
-        attacks = cpa_attack_sets([first, other], 0)
-        next(attacks)
-        with pytest.raises(ValueError, match="must share their ciphertexts"):
+    for evolutions in (True, False):
+        with pytest.raises(ValueError, match="cannot attack an empty trace set"):
+            next(cpa_attack_sets([empty], 0, evolutions=evolutions))
+        for other in (simulate_campaign(KEY, 500, config, seed=2),    # other plaintexts
+                      simulate_campaign(KEY, 400, config, seed=1),    # fewer traces
+                      empty):
+            attacks = cpa_attack_sets([first, other], 0, evolutions=evolutions)
             next(attacks)
+            with pytest.raises(ValueError, match="must share their ciphertexts"):
+                next(attacks)
+
+
+def _attack_both_ways(trace_sets, stride):
+    """Each set's ``(result, evolution)`` from a walk that keeps evolutions,
+    whose disclosure must be traces_to_disclosure's on the evolution, and
+    from which a walk that keeps none may differ only by yielding None."""
+    kept = list(cpa_attack_sets(trace_sets, 0, stride))
+    bare = list(cpa_attack_sets(trace_sets, 0, stride, evolutions=False))
+    assert len(kept) == len(bare) == len(trace_sets)
+    for (result, evolution), (other, none) in zip(kept, bare):
+        assert none is None
+        if result.correct_guess is not None:
+            assert result.disclosure == traces_to_disclosure(evolution, result.correct_guess)
+        assert other.scores.tobytes() == result.scores.tobytes()
+        assert np.array_equal(other.ranking, result.ranking)
+        assert (other.best_guess, other.disclosure, other.correct_guess, other.correct_rank) == (
+            result.best_guess, result.disclosure, result.correct_guess, result.correct_rank)
+    return kept
+
+
+@settings(max_examples=30)
+@given(n=st.integers(20, 3000), stride=st.integers(1, 600), sigma=st.sampled_from([0.0, 4.0, 16.0]),
+       offsets=st.lists(st.sampled_from([None, 0.0, 4.0, 6.0]), min_size=1, max_size=4),
+       samples=st.sampled_from([1, 3]), seed=st.integers(0, 2 ** 16))
+def test_walk_disclosure_equals_traces_to_disclosure(n, stride, sigma, offsets, samples, seed):
+    # single sets and grids, with or without evolutions
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=sigma, samples_per_trace=samples)
+    augmentations = [None if offset is None else Augmentation(0, 2, offset) for offset in offsets]
+    _attack_both_ways(list(simulate_offset_grid(KEY, n, config, seed, augmentations)), stride)
+
+
+def test_walk_disclosure_covers_first_late_tied_and_no_leads():
+    # Four sets sharing their ciphertexts: byte 0 leaking alone leads from the
+    # first checkpoint, all 16 bytes leaking later, and under an offset of 6w
+    # never.  The first again, with samples of 0 over its first 300 traces,
+    # ties every guess at r = 0 at the first three checkpoints: no strict lead.
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0)
+    noisy, defeated = simulate_offset_grid(KEY, 3000, config, 1, [None, Augmentation(0, 2, 6.0)])
+    quiet = simulate_campaign(KEY, 3000, LeakageConfig.single_byte_weights(0, noise_sigma=4.0), 1)
+    samples = quiet.samples.copy()
+    samples[:300] = 0.0
+    tied = TraceSet(samples, quiet.plaintexts, quiet.ciphertexts, true_key=quiet.true_key)
+    sets = [quiet, noisy, defeated, tied]
+    disclosures = [result.disclosure for result, _ in _attack_both_ways(sets, 100)]
+    assert disclosures == [100, 300, None, 500]
+    for traces, disclosure in zip(sets, disclosures):   # each alone
+        assert [result.disclosure for result, _ in _attack_both_ways([traces], 100)] == [
+            disclosure]
+
+
+@pytest.mark.parametrize("evolutions", [True, False])
+def test_r_of_every_block_is_checked(monkeypatch, evolutions):
+    # NaN in the first of two blocks only: a walk that keeps no evolution
+    # never holds it whole, so each block's r is checked as it is made.
+    calls, real = [], cpa._correlations
+
+    def correlations(*args, **kwargs):
+        calls.append(1)
+        r = real(*args, **kwargs)
+        return np.full_like(r, np.nan) if len(calls) == 1 else r
+    monkeypatch.setattr(cpa, "_correlations", correlations)
+    ts = simulate_campaign(KEY, 3000, LeakageConfig.equal_weights(1.0, noise_sigma=4.0), seed=1)
+    with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+        next(cpa_attack_sets([ts], 0, 100, evolutions=evolutions))
+    assert len(calls) == 1
 
 
 def test_attack_is_invariant_under_trace_permutation():
@@ -429,17 +496,18 @@ def test_screen_serves_groups_and_declines_ties_constants_and_one_trace(monkeypa
     for values, reference in zip(screened, declined):
         assert values.tobytes() == reference.tobytes()
     # Every sample twice ties each guess's top two: each block is declined
-    # and the argmax keeps the first.  A constant sample (var_y = 0) declines
-    # every block too, and at stride 1 the first block holds n = 1 (var_x = 0).
+    # and the argmax keeps the first.  At stride 1 the first block holds
+    # n = 1 (var_x = 0) and is declined.  A constant sample (var_y = 0), whose
+    # r is 0, is screened as q = 0: no block is declined.
     ts = grid[1]
     doubled = TraceSet(np.hstack([ts.samples, ts.samples]), ts.plaintexts, ts.ciphertexts)
     constant = TraceSet(np.hstack([ts.samples, np.full((len(ts), 1), 2.0, np.float32)]),
                         ts.plaintexts, ts.ciphertexts)
-    for traces, stride in ((doubled, 100), (constant, 100), (ts, 1)):
+    for traces, stride, expected in ((doubled, 100, "all"), (constant, 100, 0), (ts, 1, 1)):
         screened, declined, declined_blocks, blocks = _screened_and_declined(
             monkeypatch, [traces], stride)
         assert screened[0].tobytes() == declined[0].tobytes()
-        assert declined_blocks == (blocks if stride > 1 else 1) and blocks > 1
+        assert declined_blocks == (blocks if expected == "all" else expected) and blocks > 1
 
 
 def test_screen_declines_a_subnormal_variance_product():

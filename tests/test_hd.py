@@ -19,6 +19,8 @@ from scakit.leakage import (Augmentation, LeakageConfig, Trigger, simulate_campa
                             simulate_offset_grid)
 from scakit.traces import TraceSet
 
+from helpers import traced_peak
+
 KEY = "2041e2770445067328090a7f0c0d0e7b"
 CORRECT_BYTE0 = 51
 
@@ -259,20 +261,39 @@ def _alive_at_each_take(trace_sets, alive):
         yield traces
 
 
-@pytest.mark.parametrize("samples,group_budget,width", [(1, 2 * 256 * 5, 2), (300, None, 1)])
+@pytest.mark.parametrize("samples,group_budget,width", [(1, 2560, 2), (300, None, 1)])
 def test_attack_offset_grid_holds_one_group_at_a_time(monkeypatch, samples, group_budget, width):
     # When a set is taken, the earlier ones still held are the sets of its
     # group taken so far and the set last scanned: at most one group's
-    # width.  At the default budgets a wide grid is walked one set at a time.
+    # width.  The grid keeps no evolutions, so a group budget of 2560
+    # samples holds two sets of 1000 x 1, not three.  At the default
+    # budgets a wide grid is walked one set at a time.
     if group_budget is not None:
         monkeypatch.setattr(cpa, "_GROUP_ELEMENTS", group_budget)
     config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=samples)
     augmentations = [Augmentation(0, 2, offset) for offset in (0.0, 1.0, 2.0, 4.0, 6.0)]
-    grid = simulate_offset_grid(KEY, 500, config, 3, augmentations)
+    grid = simulate_offset_grid(KEY, 1000, config, 3, augmentations)
     alive = []
     attacks = list(attack_offset_grid(_alive_at_each_take(grid, alive), 0, CORRECT_BYTE0))
     assert len(attacks) == len(alive) == len(augmentations)
     assert max(alive) == width
+
+
+def test_a_fine_grid_walks_as_one_group_holding_no_evolution(monkeypatch):
+    # A 12-point grid at stride 1 keeps no evolutions, so it walks as one
+    # group, and its traced peak stays below one set's evolution (256 x n
+    # float64), which a walk that kept evolutions would hold whole.
+    n = 3000
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0)
+    augmentations = [Augmentation(0, bit, offset) for bit in (2, 5)
+                     for offset in (0.0, 2.0, 4.0, 4.5, 6.0, 8.0)]
+    widths, groups = [], cpa._groups
+    monkeypatch.setattr(cpa, "_groups", lambda *args: (
+        (checkpoints, widths.append(len(group)) or group) for checkpoints, group in groups(*args)))
+    attacks, peak = traced_peak(lambda: list(attack_offset_grid(
+        simulate_offset_grid(KEY, n, config, 1, augmentations), 0, CORRECT_BYTE0, 1)))
+    assert widths == [12] and len(attacks) == 12
+    assert peak < 256 * n * 8
 
 
 def test_attack_offset_grid_rejects_sets_with_other_ciphertexts():

@@ -1,11 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scakit import aes
+from scakit import aes, leakage
 from scakit.leakage import (
     CAMPAIGN_CHUNK,
     Augmentation,
@@ -16,6 +14,9 @@ from scakit.leakage import (
     simulate_offset_grid,
     toggle_bits,
 )
+from scakit.traceio import SctrFormatError
+
+from helpers import traced_peak
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"
 
@@ -95,12 +96,7 @@ def test_campaign_peak_memory_stays_below_four_sample_matrices():
     config = LeakageConfig.equal_weights(1.0, noise_sigma=2.0, samples_per_trace=64,
                                          poi_index=10, augmentation=Augmentation(0, 2, 4.0))
     simulate_campaign(KEY, 1, config, seed=8)   # the first call imports numpy.random
-    tracemalloc.start()
-    try:
-        ts = simulate_campaign(KEY, 3 * CAMPAIGN_CHUNK + 100, config, seed=8)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    ts, peak = traced_peak(lambda: simulate_campaign(KEY, 3 * CAMPAIGN_CHUNK + 100, config, 8))
     assert peak < 4 * ts.samples.nbytes
 
 
@@ -246,6 +242,22 @@ def test_config_validation():
             LeakageConfig.equal_weights(1.0, noise_sigma=bad)
     with pytest.raises(ValueError):
         simulate_campaign(KEY, 0, LeakageConfig.equal_weights(1.0), seed=1)
+
+
+@pytest.mark.parametrize("n,samples,seed,field", [(2 ** 32, 1, 1, "n_traces"),
+                                                  (1, 2 ** 32, 1, "samples_per_trace"),
+                                                  (1, 1, 2 ** 64, "seed")])
+def test_sizes_sctr_cannot_record_fail_before_any_chunk(monkeypatch, n, samples, seed, field):
+    # The sizes are far beyond memory: drawing a chunk would fail the test.
+    def unreachable(*args):
+        raise AssertionError("a chunk was drawn")
+    monkeypatch.setattr(leakage, "_base_chunk", unreachable)
+    config = LeakageConfig.equal_weights(1.0, samples_per_trace=samples)
+    message = f"{field} {max(n, samples, seed)} does not fit SCTR's"
+    with pytest.raises(SctrFormatError, match=message):
+        simulate_campaign(KEY, n, config, seed)
+    with pytest.raises(SctrFormatError, match=message):
+        next(simulate_offset_grid(KEY, n, config, seed, [None, Augmentation(0, 2, 4.0)]))
 
 
 def test_single_byte_weights_layout():

@@ -1,6 +1,6 @@
 import io
+import os
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from scakit.traceio import (
 )
 from scakit.traces import TraceSet
 
-from helpers import export_raw
+from helpers import export_raw, traced_peak
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"
 
@@ -68,6 +68,15 @@ def test_sctr_accepts_file_objects():
     buf.seek(0)
     back = read_sctr(buf)
     assert back.samples.tobytes() == ts.samples.tobytes()
+    # a pipe cannot seek, so its size is not known before it is read
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:
+        fh.write(buf.getvalue())
+    with os.fdopen(read_end, "rb") as fh:
+        assert not fh.seekable()
+        back = read_sctr(fh)
+    assert back.samples.tobytes() == ts.samples.tobytes()
+    assert np.array_equal(back.true_key, ts.true_key)
 
 
 def test_sctr_rejects_bad_magic(tmp_path):
@@ -373,16 +382,6 @@ def test_sctr_rejects_seed_outside_header_field(seed):
         write_sctr(ts, io.BytesIO())
 
 
-def _traced_peak(call):
-    tracemalloc.start()
-    try:
-        result = call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 def test_trace_io_holds_each_byte_once(tmp_path):
     n, spt = 3000, 64
     ts = _campaign(n=n, spt=spt)
@@ -393,13 +392,13 @@ def test_trace_io_holds_each_byte_once(tmp_path):
     import_raw(raw, meta)
     file_size = path.stat().st_size
 
-    _, peak = _traced_peak(lambda: write_sctr(ts, path))
+    _, peak = traced_peak(lambda: write_sctr(ts, path))
     assert peak < 1.5 * file_size
-    back, peak = _traced_peak(lambda: read_sctr(path))
+    back, peak = traced_peak(lambda: read_sctr(path))
     assert peak < 1.5 * file_size
     for arr in (back.samples, back.plaintexts, back.ciphertexts):
         assert not arr.flags.writeable
-    imported, peak = _traced_peak(lambda: import_raw(raw, meta))
+    imported, peak = traced_peak(lambda: import_raw(raw, meta))
     assert peak < 1.5 * (ts.samples.nbytes + 32 * n)
     assert imported.samples.tobytes() == ts.samples.tobytes()
     assert np.array_equal(imported.plaintexts, ts.plaintexts)
