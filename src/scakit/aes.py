@@ -117,24 +117,22 @@ def invert_key_schedule(round10_key) -> np.ndarray:
     return np.concatenate(words[0:4])
 
 
-def _mix_columns(states):
-    out = np.empty_like(states)
-    for c in range(0, 16, 4):
-        s0, s1, s2, s3 = (states[:, c + i] for i in range(4))
-        t = s0 ^ s1 ^ s2 ^ s3
-        out[:, c + 0] = s0 ^ t ^ XTIME.take(s0 ^ s1)
-        out[:, c + 1] = s1 ^ t ^ XTIME.take(s1 ^ s2)
-        out[:, c + 2] = s2 ^ t ^ XTIME.take(s2 ^ s3)
-        out[:, c + 3] = s3 ^ t ^ XTIME.take(s3 ^ s0)
-    return out
+def _mix_columns(planes):
+    """MixColumns on (16, n) byte planes: s[i] ^ t ^ xtime(s[i] ^ s[i+1 mod 4]), t = XOR of s."""
+    cols = planes.reshape(4, 4, -1)   # (column, row in the column, block)
+    t = np.bitwise_xor.reduce(cols, axis=1, keepdims=True)
+    return (cols ^ t ^ XTIME.take(cols ^ cols[:, [1, 2, 3, 0]])).reshape(16, -1)
 
 
 def _encrypt_states(round_keys, states):
-    """Run the cipher on an (n, 16) batch; returns (round-9 output, ciphertext)."""
-    s = states ^ round_keys[0]
+    """Run the cipher on an (n, 16) batch; returns (round-9 output, ciphertext),
+    both C-contiguous (n, 16).  The rounds work on (16, n) byte planes: row p
+    holds byte p of every block, so each step is a whole-row operation."""
+    keys = round_keys[:, :, None]   # (11, 16, 1) round-key columns
+    s = np.bitwise_xor(states.T, keys[0], order="C")
     for r in range(1, 10):
-        s = _mix_columns(SBOX[s][:, SR_INVERSE]) ^ round_keys[r]
-    return s, SBOX[s][:, SR_INVERSE] ^ round_keys[10]
+        s = _mix_columns(SBOX.take(s[SR_INVERSE])) ^ keys[r]
+    return s.T.copy(), (SBOX.take(s[SR_INVERSE]) ^ keys[10]).T.copy()
 
 
 def last_round_states_batch(key, plaintexts):

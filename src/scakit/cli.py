@@ -35,6 +35,7 @@ since it would ignore them.
 import argparse
 import codecs
 import contextlib
+import gc
 import json
 import sys
 
@@ -382,6 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:   # the process entry: the exit's collection skips what the imports made
+        gc.freeze()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -225,7 +225,7 @@ def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE,
                 seg = x[:count - start]
                 seg[:] = hyp[start - lo:count - lo]
                 np.matmul(seg.T, y[:, start - lo:count - lo], out=out[2][:, slot])
-                parts = seg.sum(axis=0), np.square(seg, out=seg).sum(axis=0)
+                parts = seg.sum(axis=0), np.einsum("ij,ij->j", seg, seg)
                 np.add(x_sums[:, slot - 1], parts, out=x_sums[:, slot])   # row -1: the block before
             carry = (*sums[1 - p][:, :, -1], xy[1 - p][:, -1])   # the block before's last sums
             _add_samples(carry, y[:, :hi - lo], checkpoint_stride, out, yy[:, :hi - lo])

@@ -36,10 +36,15 @@ def test_encrypt_deterministic():
 def test_encrypt_batch_matches_scalar():
     rng = np.random.default_rng(1)
     key = rng.integers(0, 256, 16, dtype=np.uint8)
-    pts = rng.integers(0, 256, (20, 16), dtype=np.uint8)
-    batch = aes.last_round_states_batch(key, pts)[1]
-    for i in range(20):
-        assert np.array_equal(batch[i], encrypt_one(key, pts[i]))
+    pts = rng.integers(0, 256, (4097, 16), dtype=np.uint8)
+    full = aes.last_round_states_batch(key, pts)
+    for i in [*range(0, 4097, 256), 4094, 4095, 4096]:
+        assert np.array_equal(full[1][i], encrypt_one(key, pts[i]))
+    for n in (1, 4095, 4096, 4097):   # one campaign chunk is 4096 blocks
+        batch = aes.last_round_states_batch(key, pts[:n])
+        for out, whole in zip(batch, full):
+            assert out.shape == (n, 16) and out.dtype == np.uint8 and out.flags.c_contiguous
+            assert np.array_equal(out, whole[:n])
     with pytest.raises(ValueError, match=r"\(n, 16\) byte array"):
         aes.last_round_states_batch(key, pts[:, :15])
 

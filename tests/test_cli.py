@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -730,6 +731,50 @@ def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
     assert outputs[0] == outputs[1]
     assert {name: hashlib.sha256(data).hexdigest()
             for name, data in outputs[0].items()} == RECORDED_DIGESTS
+
+
+# Runs scakit.cli as __main__, as `python -m scakit.cli` does, and reports the
+# collector's freeze count on stderr from an atexit hook, after main returned.
+_ENTRY_SCRIPT = ("import atexit, gc, runpy, sys; atexit.register(lambda: sys.stderr.write("
+                 "f'frozen {gc.get_freeze_count()}\\n')); "
+                 "runpy.run_module('scakit.cli', run_name='__main__')")
+
+
+def test_process_entry_matches_main_and_freezes_the_collector(tmp_path, monkeypatch, capsys):
+    commands = [["simulate", "--key", KEY, "--n", "1500", "--sigma", "4", "--seed", "1",
+                 "-o", "a.sctr"], ["attack", "a.sctr", "--report", "r.json"]]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]))}
+
+    def child(work, *argv):
+        return subprocess.run([sys.executable, *argv], cwd=work, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    outputs, frozen = [], gc.get_freeze_count()
+    for name in ("main", "entry"):
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        stdout = []
+        for argv in commands:
+            if name == "main":
+                assert cli.main(argv) == 0
+                stdout.append(capsys.readouterr().out)
+            else:
+                done = child(work, "-m", "scakit.cli", *argv)
+                assert (done.returncode, done.stderr) == (0, ""), done.stderr
+                stdout.append(done.stdout)
+        outputs.append({"stdout": stdout, **{p.name: p.read_bytes() for p in work.iterdir()}})
+    assert gc.get_freeze_count() == frozen   # main(argv) leaves the caller's heap alone
+    assert sorted(outputs[0]) == ["a.sctr", "r.json", "stdout"] and outputs[0] == outputs[1]
+
+    done = child(tmp_path, "-m", "scakit.cli", "simulate", "--n", "abc", "-o", "x.sctr")
+    assert done.returncode == 1 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and "--n" in json.loads(lines[0])["error"]
+    done = child(tmp_path, "-c", _ENTRY_SCRIPT, *commands[0])
+    assert done.returncode == 0 and done.stderr.startswith("frozen "), done.stderr
+    assert int(done.stderr.split()[1]) > 0
 
 
 # The fuzz below draws valid campaigns (campaign_params) and flags, and half
