@@ -18,9 +18,8 @@ os.makedirs(out_dir, exist_ok=True)
 
 
 def run(label, augmentation):
-    config = sk.LeakageConfig.equal_weights(1.0, noise_sigma=4.0,
-                                            augmentation=augmentation)
-    traces = sk.simulate_campaign(key, 30_000, config, seed=1)
+    config = sk.LeakageConfig.equal_weights(1.0, noise_sigma=4.0)
+    traces = sk.simulate_campaign(key, 30_000, config, seed=1, augmentation=augmentation)
     result, evolution = sk.cpa_attack(traces, 0)
     path = os.path.join(out_dir, f"curves_{label}.csv")
     with open(path, "w", newline="") as fh:

@@ -22,8 +22,8 @@ os.makedirs(out_dir, exist_ok=True)
 
 def campaign(offset):
     aug = sk.Augmentation(0, 2, offset) if offset else None
-    config = sk.LeakageConfig.equal_weights(1.0, noise_sigma=4.0, augmentation=aug)
-    return sk.simulate_campaign(key, 30_000, config, seed=1)
+    config = sk.LeakageConfig.equal_weights(1.0, noise_sigma=4.0)
+    return sk.simulate_campaign(key, 30_000, config, seed=1, augmentation=aug)
 
 
 plain = campaign(0.0)

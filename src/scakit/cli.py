@@ -120,15 +120,10 @@ def _resolve_sim_params(args, names):
     return params, set(given)
 
 
-def _build_leakage_config(params, augmentation):
+def _build_leakage_config(params):
     return LeakageConfig.equal_weights(
-        params["weight"],
-        baseline=params["baseline"],
-        noise_sigma=params["sigma"],
-        augmentation=augmentation,
-        samples_per_trace=params["samples"],
-        poi_index=params["poi"],
-    )
+        params["weight"], baseline=params["baseline"], noise_sigma=params["sigma"],
+        samples_per_trace=params["samples"], poi_index=params["poi"])
 
 
 def _write_csv(path, header, lines):
@@ -160,9 +155,9 @@ def cmd_simulate(args) -> int:
     else:
         augmentation = Augmentation(params["augment_byte"], params["augment_bit"],
                                     params["offset"], params["trigger"])
-    config = _build_leakage_config(params, augmentation)
+    config = _build_leakage_config(params)
     check_sctr_fields(params["n"], params["samples"], params["seed"])
-    trace_set = simulate_campaign(params["key"], params["n"], config, params["seed"])
+    trace_set = simulate_campaign(params["key"], params["n"], config, params["seed"], augmentation)
     write_sctr(trace_set, args.output)
     effective = {k: params[k] for k in sorted(params)}
     effective["trigger"] = params["trigger"].value
@@ -289,13 +284,14 @@ def cmd_sweep(args) -> int:
     points = [(bit, offset) for bit in args.bits for offset in args.offsets]
     augmentations = [Augmentation(params["augment_byte"], bit, offset, params["trigger"])
                      for bit, offset in points]
-    config = _build_leakage_config(params, None)
+    config = _build_leakage_config(params)
     check_sctr_fields(params["n"], params["samples"], params["seed"])
     checkpoint_schedule(params["n"], args.stride)
-    correct = aes.correct_last_round_guess(params["key"], args.byte)
+    aes.correct_last_round_guess(params["key"], args.byte)
 
     grid = simulate_offset_grid(params["key"], params["n"], config, params["seed"], augmentations)
-    attacks = attack_offset_grid(grid, args.byte, correct, args.stride, config.poi_index)
+    attacks = attack_offset_grid(grid, args.byte, checkpoint_stride=args.stride,
+                                 sample_index=config.poi_index)
     lines = [f"{bit},{offset:.17g},{'' if result.disclosure is None else result.disclosure},"
              f"{len(horses)}" for (bit, offset), (result, horses) in zip(points, attacks)]
     _write_csv(args.output, "bit,offset,disclosure,wrong_horse_count", lines)

@@ -144,17 +144,19 @@ def _check_bounded(abs_r):
 
 @dataclass
 class AttackResult:
-    best_guess: int
-    ranking: np.ndarray   # all 256 guesses, best first
     scores: np.ndarray    # (256,) max-over-samples |r|, indexed by guess
     disclosure: int | None = None
     correct_guess: int | None = None   # known when the traces carry their true key
+    ranking: np.ndarray = field(init=False)   # all 256 guesses, best first, ties by guess
+    best_guess: int = field(init=False)
     correct_rank: int | None = field(default=None, init=False)   # 1-based, of correct_guess
 
     def __post_init__(self):
-        self.ranking = np.asarray(self.ranking, dtype=np.int64)
-        if sorted(self.ranking.tolist()) != list(range(256)):
-            raise ValueError("ranking must be a permutation of 0..255")
+        self.scores = np.asarray(self.scores, dtype=np.float64)
+        if self.scores.shape != (256,):
+            raise ValueError(f"scores must have shape (256,), got {self.scores.shape}")
+        self.ranking = np.lexsort((np.arange(256), -self.scores))
+        self.best_guess = int(self.ranking[0])
         if self.correct_guess is not None:
             self.correct_rank = rank_of_guess(self, self.correct_guess)
 
@@ -188,11 +190,12 @@ def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=CHECKPOINT_STRIDE
 
 def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE,
                     evolutions=True):
-    """Yield :func:`cpa_attack` of each of ``trace_sets``, which share their
-    ciphertexts as ``simulate_offset_grid``'s do; a later set with other
-    ciphertexts raises ValueError once the sets before it are yielded.  With
+    """Yield :func:`cpa_attack` of each of ``trace_sets``, the points of one
+    campaign as ``simulate_offset_grid`` yields them: each shares the first
+    set's ciphertexts, sample count and true key, and a later set that does
+    not raises ValueError once the sets before it are yielded.  With
     ``evolutions=False`` the evolution is None, and a set keeps only its scores
-    and the last checkpoint at which its correct guess did not strictly lead.
+    and the last checkpoint at which the correct guess did not strictly lead.
 
     A group of sets (:func:`_groups`) is walked in lock-step.  Per block of
     checkpoints the hypothesis segment is built from the ciphertexts and, at
@@ -201,13 +204,12 @@ def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE,
     and r comes from them for the whole group at once.  The x-side sums are
     taken from ``x``, exactly, as x is 0..8."""
     for checkpoints, group in _groups(trace_sets, checkpoint_stride, evolutions):
-        cts, n_samples, starts = group[0].ciphertexts, group[0].samples_per_trace, [0, *checkpoints]
+        cts, n_samples, key = group[0].ciphertexts, group[0].samples_per_trace, group[0].true_key
+        starts = [0, *checkpoints]
         block = min(len(checkpoints), max(1, _BLOCK_ELEMENTS // max(
             256 * n_samples * len(group), 256 * checkpoint_stride // 8)))
-        keys = [None if traces.true_key is None else traces.true_key.tobytes() for traces in group]
-        correct = {key: aes.correct_last_round_guess(key, byte_index) for key in set(keys) - {None}}
-        holders = {key: [g for g, held in enumerate(keys) if held == key] for key in correct}
-        lost = np.full(len(group), -1)   # per set, the last checkpoint not led by its guess
+        guess = None if key is None else aes.correct_last_round_guess(key, byte_index)
+        lost = np.full(len(group), -1)   # per set, the last checkpoint not led by the guess
         # (sum_x, sum_xx); (sum_y, sum_yy) and sum_xy per block parity, the other parity's xy is r
         x_sums, sums = np.zeros((2, block, 256)), np.zeros((2, 2, len(group), block, n_samples))
         xy = np.zeros((2, len(group), block, 256, n_samples))
@@ -233,45 +235,43 @@ def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE,
                 np.array(checkpoints[done], float), *x_sums[:, :k], *out, xy[1 - p][:, :k],
                 scratch[:, :k])[..., 0]   # (set, checkpoint, guess)
             abs_r = _check_bounded(np.abs(r))
-            for key, sets in holders.items():
-                last = _last_loss(abs_r[sets], correct[key])
-                lost[sets] = np.where(last < 0, lost[sets], i + last)
+            if guess is not None:
+                last = _last_loss(abs_r, guess)
+                lost = np.where(last < 0, lost, i + last)
             if evolutions:
                 values[..., done] = r.swapaxes(1, 2)
         final = abs_r[:, -1].copy()   # the scores
         del xy, scratch, x, y, yy, hyp, out, carry, r, abs_r   # not held while the caller works
-        for g, guess in enumerate(map(correct.get, keys)):
-            scores, first = final[g], lost[g] + 1
+        for g, (scores, first) in enumerate(zip(final, lost + 1)):
             if not scores.any():
                 raise ValueError("every key guess scores 0, so no key can be ranked: the attack "
                                  "needs at least 2 traces and samples that vary across them")
-            ranking = np.lexsort((np.arange(256), -scores))
             disclosure = None if guess is None or first == len(checkpoints) else checkpoints[first]
-            yield (AttackResult(best_guess=int(ranking[0]), ranking=ranking, scores=scores,
-                                disclosure=disclosure, correct_guess=guess),
+            yield (AttackResult(scores, disclosure, guess),
                    CorrelationEvolution(checkpoints, values[g]) if evolutions else None)
 
 
 def _groups(trace_sets, stride, evolutions):
-    """Yield ``(checkpoints, group)``: the trace sets, which share the first
-    one's ciphertexts, in runs of one sample count within both budgets.  A set
-    that cannot be taken ends its group, which is yielded before the error."""
+    """Yield ``(checkpoints, group)``: the trace sets, in runs within both
+    budgets.  They are one campaign: every set must share the first one's
+    ciphertexts, sample count and true key, of which only these are kept.  A
+    set that does not ends its group, which is yielded before the error."""
     group, shared = [], None
     try:
         for traces in trace_sets:
+            fields = traces.ciphertexts, traces.samples_per_trace, traces.true_key
             if shared is None:
-                checkpoints, shared = checkpoint_schedule(len(traces), stride), traces.ciphertexts
+                checkpoints, shared = checkpoint_schedule(len(traces), stride), fields
                 if len(traces) == 0:
                     raise ValueError("cannot attack an empty trace set")
-            elif not np.array_equal(traces.ciphertexts, shared):
-                raise ValueError("the trace sets of an offset grid must share their ciphertexts")
-            if group and traces.samples_per_trace != group[0].samples_per_trace:
-                yield checkpoints, group
-                group.clear()
+                held = 256 * len(checkpoints) if evolutions else traces.samples.size   # each set
+                width = min(_BLOCK_ELEMENTS // (256 * traces.samples_per_trace),
+                            _GROUP_ELEMENTS // held)
+            elif not all(map(np.array_equal, fields, shared)):
+                raise ValueError("the trace sets of an offset grid must share their ciphertexts, "
+                                 "sample count and true key")
             group.append(traces)
-            held = 256 * len(checkpoints) if evolutions else traces.samples.size   # each set
-            if len(group) >= min(_BLOCK_ELEMENTS // (256 * traces.samples_per_trace),
-                                 _GROUP_ELEMENTS // held):
+            if len(group) >= width:
                 yield checkpoints, group
                 group.clear()
     except Exception:

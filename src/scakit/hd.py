@@ -60,7 +60,6 @@ class SignFlipReport:
     flipped: bool
     baseline_slope: float
     augmented_slope: float
-    slope_change: float
 
 
 def _sample(traces: TraceSet, sample_index):
@@ -108,7 +107,6 @@ def sign_flip_report(baseline: HdFit, augmented: HdFit) -> SignFlipReport:
         flipped=bool(baseline.slope * augmented.slope < 0),
         baseline_slope=baseline.slope,
         augmented_slope=augmented.slope,
-        slope_change=augmented.slope - baseline.slope,
     )
 
 
@@ -125,21 +123,23 @@ def wrong_horse_scan(traces: TraceSet, byte_index, correct_guess, sample_index=0
     return _wrong_horses(_pair_classes(traces.ciphertexts, byte_index), y, correct_guess)
 
 
-def attack_offset_grid(trace_sets, byte_index, correct_guess,
-                       checkpoint_stride=CHECKPOINT_STRIDE, sample_index=0):
+def attack_offset_grid(trace_sets, byte_index, *, checkpoint_stride=CHECKPOINT_STRIDE,
+                       sample_index=0):
     """Yield ``(AttackResult, wrong_horses)`` per trace set, as
-    :func:`~scakit.cpa.cpa_attack` and :func:`wrong_horse_scan` give them.
-    :func:`~scakit.cpa.cpa_attack_sets` attacks the sets, which share their
-    ciphertexts, a group at a time and keeps no evolution; the pair classes are
-    built once, from the first.
+    :func:`~scakit.cpa.cpa_attack` and :func:`wrong_horse_scan` against the
+    result's ``correct_guess`` give them.  The sets are the points of one
+    campaign, which must carry its true key; :func:`~scakit.cpa.cpa_attack_sets`
+    attacks them a group at a time and keeps no evolution, and the pair classes
+    are built once, from the first.
     """
-    aes._check_guess(correct_guess)
     taken = deque()   # the sets cpa_attack_sets has taken, first in, first out
     pairs, sets = None, (taken.append(traces) or traces for traces in trace_sets)
     for result, _ in cpa_attack_sets(sets, byte_index, checkpoint_stride, evolutions=False):
         traces = taken.popleft()
+        if result.correct_guess is None:
+            raise ValueError("the trace sets of an offset grid must carry their true key")
         pairs = pairs or _pair_classes(traces.ciphertexts, byte_index)
-        yield result, _wrong_horses(pairs, _sample(traces, sample_index), correct_guess)
+        yield result, _wrong_horses(pairs, _sample(traces, sample_index), result.correct_guess)
 
 
 @dataclass

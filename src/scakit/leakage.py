@@ -67,7 +67,6 @@ class LeakageConfig:
     bit_weights: np.ndarray = field(default_factory=lambda: np.ones(128))
     baseline: float = 0.0
     noise_sigma: float = 0.0
-    augmentation: Augmentation | None = None
     samples_per_trace: int = 1
     poi_index: int = 0
 
@@ -145,7 +144,8 @@ def _base_chunk(round_keys, n, config, seed, chunk_index):
 
 def simulate_offset_grid(key, n, config: LeakageConfig, seed, augmentations):
     """Yield one campaign of ``n`` traces per entry of ``augmentations``
-    (``None`` for none), in order; ``config.augmentation`` is not used.
+    (``None`` for none), in order: the points of one campaign, with one
+    key, one seed and one ``config``.
 
     The campaign is simulated once; each point derives only its POI column
     again, from the float64 values, and shares the read-only plaintext and
@@ -166,15 +166,15 @@ def simulate_offset_grid(key, n, config: LeakageConfig, seed, augmentations):
         yield TraceSet(samples, pts, cts, true_key=true_key, seed=seed)
 
 
-def simulate_campaign(key, n, config: LeakageConfig, seed) -> TraceSet:
+def simulate_campaign(key, n, config: LeakageConfig, seed, augmentation=None) -> TraceSet:
     """Simulate ``n`` encryptions of uniform random plaintexts: the offset
-    grid of the one point ``config.augmentation``.
+    grid of the one point ``augmentation``.
 
     Deterministic in all arguments: the same call always returns a
     byte-identical :class:`TraceSet`, with read-only plaintexts and
     ciphertexts.
     """
-    return next(simulate_offset_grid(key, n, config, seed, [config.augmentation]))
+    return next(simulate_offset_grid(key, n, config, seed, [augmentation]))
 
 
 def ro_offset_model(n_ro, pulse_fraction, alpha) -> float:

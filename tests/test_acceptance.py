@@ -94,8 +94,8 @@ def report(criterion, ok, detail=""):
 @pytest.fixture(scope="module")
 def augmented_4w_campaigns():
     aug = sk.Augmentation(0, 2, offset=4.0 * W, trigger=sk.Trigger.ON_STATIC)
-    config = sk.LeakageConfig.equal_weights(W, noise_sigma=SIGMA, augmentation=aug)
-    return {seed: sk.simulate_campaign(KEY, 50_000, config, seed) for seed in AUG_SEEDS}
+    config = sk.LeakageConfig.equal_weights(W, noise_sigma=SIGMA)
+    return {seed: sk.simulate_campaign(KEY, 50_000, config, seed, aug) for seed in AUG_SEEDS}
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +193,8 @@ def test_criterion_05_countermeasure_blocks_disclosure(augmented_4w_campaigns):
 def test_criterion_06_slope_sign_flip(plain_50k_campaign):
     baseline = sk.fit_hd_line(sk.group_by_hd(plain_50k_campaign, CORRECT_BYTE0, 0))
     aug = sk.Augmentation(0, 2, offset=12.0 * W)  # above the 8x flip threshold
-    config = sk.LeakageConfig.equal_weights(W, noise_sigma=SIGMA, augmentation=aug)
-    augmented_traces = sk.simulate_campaign(KEY, 50_000, config, seed=1)
+    config = sk.LeakageConfig.equal_weights(W, noise_sigma=SIGMA)
+    augmented_traces = sk.simulate_campaign(KEY, 50_000, config, seed=1, augmentation=aug)
     augmented = sk.fit_hd_line(sk.group_by_hd(augmented_traces, CORRECT_BYTE0, 0))
     flip = sk.sign_flip_report(baseline, augmented)
     ok = baseline.slope < 0 < augmented.slope and flip.flipped
@@ -347,10 +347,10 @@ def test_offset_threshold_matches_simulation(augmented_4w_campaigns):
     below = {seed: sk.cpa_attack(traces, 0)[0].disclosure
              for seed, traces in augmented_4w_campaigns.items()}
     aug = sk.Augmentation(0, 2, offset=4.5 * W, trigger=sk.Trigger.ON_STATIC)
-    config = sk.LeakageConfig.equal_weights(W, noise_sigma=SIGMA, augmentation=aug)
+    config = sk.LeakageConfig.equal_weights(W, noise_sigma=SIGMA)
     above = {}
     for seed in AUG_SEEDS:
-        result, _ = sk.cpa_attack(sk.simulate_campaign(KEY, 50_000, config, seed), 0)
+        result, _ = sk.cpa_attack(sk.simulate_campaign(KEY, 50_000, config, seed, aug), 0)
         above[seed] = (result.disclosure, sk.rank_of_guess(result, CORRECT_BYTE0))
     detail = f"4w disclosure per seed {below}; 4.5w (disclosure, correct rank) per seed {above}"
     assert all(d is not None for d in below.values()), detail

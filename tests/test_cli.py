@@ -555,9 +555,9 @@ def test_sweep_equals_per_point_oracle(tmp_path, case):
         for offset in p["offsets"]:
             config = LeakageConfig.equal_weights(
                 1.0, baseline=p["baseline"], noise_sigma=p["sigma"],
-                samples_per_trace=p["samples"], poi_index=p["poi"],
-                augmentation=Augmentation(p["augment_byte"], bit, offset, p["trigger"]))
-            traces = simulate_campaign(KEY, p["n"], config, p["seed"])
+                samples_per_trace=p["samples"], poi_index=p["poi"])
+            traces = simulate_campaign(KEY, p["n"], config, p["seed"],
+                                       Augmentation(p["augment_byte"], bit, offset, p["trigger"]))
             result, _ = cpa_attack(traces, p["byte"], p["stride"])
             horses = wrong_horse_scan(traces, p["byte"], correct, sample_index=p["poi"])
             expected.append({"bit": str(bit), "offset": format(float(offset), ".17g"),

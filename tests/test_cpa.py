@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -161,9 +163,21 @@ def test_evolution_rejects_values_that_are_not_2d_or_are_nan():
         CorrelationEvolution(np.array([100, 200]), values)
 
 
-def test_attack_result_ranking_must_be_permutation():
-    with pytest.raises(ValueError):
-        AttackResult(0, np.zeros(256, dtype=int), np.zeros(256))
+def test_attack_result_ranks_its_own_scores():
+    # The ranking, the best guess and the correct rank all follow the scores:
+    # tied scores rank by ascending guess, and no caller passes a ranking.
+    scores = np.zeros(256)
+    scores[[200, 9, 3]] = [0.5, 0.5, 0.25]
+    result = AttackResult(scores, correct_guess=3)
+    assert result.ranking.tolist() == [9, 200, 3, *(g for g in range(256) if g not in (3, 9, 200))]
+    assert result.best_guess == result.ranking[0] == 9
+    assert result.correct_rank == rank_of_guess(result, 3) == 3
+    top = AttackResult(np.linspace(0, 1, 256), correct_guess=255)
+    assert (top.best_guess, top.correct_rank) == (255, 1)
+    with pytest.raises(ValueError, match=r"scores must have shape \(256,\), got \(255,\)"):
+        AttackResult(np.zeros(255))
+    with pytest.raises(TypeError):
+        AttackResult(np.linspace(0, 1, 256), ranking=np.arange(256), best_guess=7)
 
 
 def test_noiseless_equal_weight_attack_recovers_all_bytes():
@@ -252,35 +266,40 @@ def test_lockstep_groups_keep_each_evolution_and_the_error_contract(monkeypatch)
     for traces, (_, evolution) in zip(grid, attacks):
         expected = reference_evolution(traces, 0, checkpoints)
         assert evolution.values.tobytes() == expected.tobytes()
-    # A set with other ciphertexts, starting a group or inside one: the sets
-    # before it are walked and yielded, then the error is raised.
+    # A set with other ciphertexts or another true key, starting a group or
+    # inside one: the sets before it are walked and yielded, then the error is raised.
     other = simulate_campaign(KEY, 2050, config, seed=10)
-    for bad in (2, 3):
+    odd = ((other, KEY), (grid[0], "00" * 16))   # (ciphertexts from, true key)
+    for bad, (cts_from, true_key) in itertools.product((2, 3), odd):
         sets = list(grid)
-        sets[bad] = TraceSet(grid[bad].samples, other.plaintexts, other.ciphertexts)
+        sets[bad] = TraceSet(grid[bad].samples, cts_from.plaintexts, cts_from.ciphertexts, true_key)
         attacks = cpa_attack_sets(sets, 0, 100)
         for traces in sets[:bad]:
             _, evolution = next(attacks)
             expected = reference_evolution(traces, 0, checkpoints)
             assert evolution.values.tobytes() == expected.tobytes()
-        with pytest.raises(ValueError, match="must share their ciphertexts"):
+        with pytest.raises(ValueError, match="share their ciphertexts, sample count and true key"):
             next(attacks)
 
 
-def test_a_new_sample_count_starts_a_new_group():
-    # Sets sharing ciphertexts with S = 1, 1, 3, 1 walk as groups of S = 1
-    # (two sets), 3 and 1, and each keeps the evolution it has on its own;
-    # a walk without evolutions gives the same results.
+def test_a_set_with_another_sample_count_is_refused():
+    # Sets sharing ciphertexts with S = 1, 1, 3 are not one campaign: the two
+    # S = 1 sets are walked and yielded, each with the scores and evolution it
+    # has on its own, then the S = 3 set raises, with or without evolutions.
     config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=3, poi_index=1)
     ts = simulate_campaign(KEY, 1250, config, seed=13)
     sets = [TraceSet(ts.samples[:, columns], ts.plaintexts, ts.ciphertexts)
-            for columns in ([1], [0], [0, 1, 2], [2])]
-    assert [[traces.samples_per_trace for traces in group]
-            for _, group in cpa._groups(sets, 100, True)] == [[1, 1], [3], [1]]
-    attacks = _attack_both_ways(sets, 100)
-    for traces, (_, evolution) in zip(sets, attacks):
-        expected = reference_evolution(traces, 0, checkpoint_schedule(1250, 100))
-        assert evolution.values.tobytes() == expected.tobytes()
+            for columns in ([1], [0], [0, 1, 2])]
+    for evolutions in (True, False):
+        attacks = cpa_attack_sets(sets, 0, 100, evolutions)
+        for traces in sets[:2]:
+            result, evolution = next(attacks)
+            expected = reference_evolution(traces, 0, checkpoint_schedule(1250, 100))
+            assert result.scores.tobytes() == np.abs(expected[:, -1]).tobytes()
+            if evolutions:
+                assert evolution.values.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="must share their ciphertexts, sample count"):
+            next(attacks)
 
 
 def test_block_hypothesis_rows_stay_within_the_budget(monkeypatch):
@@ -432,9 +451,9 @@ def test_sufficient_offset_defeats_the_attack():
     # above this model's effectiveness threshold the correct key loses
     # its lead and stays dethroned
     aug = Augmentation(0, 2, offset=6.0)
-    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, augmentation=aug)
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0)
     for seed in (1, 2, 3):
-        ts = simulate_campaign(KEY, 30_000, config, seed=seed)
+        ts = simulate_campaign(KEY, 30_000, config, seed=seed, augmentation=aug)
         result, _ = cpa_attack(ts, 0)
         assert result.disclosure is None
         assert rank_of_guess(result, CORRECT_BYTE0) > 1

@@ -103,7 +103,9 @@ def test_sign_flip_report():
     c = fit_hd_line(_line_summary(slope=-0.5))
     assert sign_flip_report(a, b).flipped is True
     assert sign_flip_report(a, c).flipped is False
-    assert sign_flip_report(a, b).slope_change == pytest.approx(2.0)
+    report = sign_flip_report(a, b)
+    assert (report.baseline_slope, report.augmented_slope) == (a.slope, b.slope)
+    assert (a.slope, b.slope) == (pytest.approx(-1.0), pytest.approx(1.0))
 
 
 def _line_summary(slope, intercept=0.0):
@@ -121,8 +123,8 @@ def test_wrong_horse_scan_empty_without_augmentation():
 
 def test_wrong_horse_scan_nonempty_with_sufficient_offset():
     aug = Augmentation(0, 2, offset=6.0)
-    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, augmentation=aug)
-    ts = simulate_campaign(KEY, 20_000, config, seed=1)
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0)
+    ts = simulate_campaign(KEY, 20_000, config, seed=1, augmentation=aug)
     horses = wrong_horse_scan(ts, 0, CORRECT_BYTE0)
     assert len(horses) >= 1
     assert CORRECT_BYTE0 not in horses
@@ -144,9 +146,9 @@ def scalar_wrong_horses(traces, byte_index, correct_guess, sample_index=0):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_wrong_horse_scan_equals_scalar_definition(byte_index, offset, trigger, samples, seed):
     aug = Augmentation(byte_index, 2, offset, trigger)
-    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, augmentation=aug,
-                                         samples_per_trace=samples, poi_index=samples - 1)
-    ts = simulate_campaign(KEY, 1500, config, seed)
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=samples,
+                                         poi_index=samples - 1)
+    ts = simulate_campaign(KEY, 1500, config, seed, aug)
     correct = aes.correct_last_round_guess(KEY, byte_index)
     assert (wrong_horse_scan(ts, byte_index, correct, samples - 1)
             == scalar_wrong_horses(ts, byte_index, correct, samples - 1))
@@ -231,15 +233,14 @@ def test_argument_validation():
         wrong_horse_scan(ts, 0, 0, sample_index=1)
     empty = TraceSet(np.zeros((0, 1)), np.zeros((0, 16)), np.zeros((0, 16)))
     with pytest.raises(ValueError, match="empty trace set"):
-        next(attack_offset_grid([empty], 0, 0))
+        next(attack_offset_grid([empty], 0))
 
 
 def test_attack_offset_grid_equals_per_set_calls():
     config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=2, poi_index=1)
     augmentations = [None, Augmentation(5, 2, 6.0), Augmentation(5, 6, 3.0, Trigger.ON_TOGGLE)]
-    correct = aes.correct_last_round_guess(KEY, 5)
     grid = list(simulate_offset_grid(KEY, 3001, config, 4, augmentations))
-    attacks = list(attack_offset_grid(grid, 5, correct, 250, sample_index=1))
+    attacks = list(attack_offset_grid(grid, 5, checkpoint_stride=250, sample_index=1))
     assert len(attacks) == len(grid)
     for traces, (result, horses) in zip(grid, attacks):
         expected, _ = cpa_attack(traces, 5, 250)
@@ -247,7 +248,9 @@ def test_attack_offset_grid_equals_per_set_calls():
         assert np.array_equal(result.ranking, expected.ranking)
         assert (result.disclosure, result.correct_rank) == (expected.disclosure,
                                                             expected.correct_rank)
-        assert horses == wrong_horse_scan(traces, 5, correct, sample_index=1)
+        # the horses are counted against the key the result is measured against
+        assert result.correct_guess == aes.correct_last_round_guess(KEY, 5)
+        assert horses == wrong_horse_scan(traces, 5, result.correct_guess, sample_index=1)
     # the unaugmented point discloses, so the comparison is not vacuous
     assert attacks[0][0].disclosure is not None
 
@@ -274,7 +277,7 @@ def test_attack_offset_grid_holds_one_group_at_a_time(monkeypatch, samples, grou
     augmentations = [Augmentation(0, 2, offset) for offset in (0.0, 1.0, 2.0, 4.0, 6.0)]
     grid = simulate_offset_grid(KEY, 1000, config, 3, augmentations)
     alive = []
-    attacks = list(attack_offset_grid(_alive_at_each_take(grid, alive), 0, CORRECT_BYTE0))
+    attacks = list(attack_offset_grid(_alive_at_each_take(grid, alive), 0))
     assert len(attacks) == len(alive) == len(augmentations)
     assert max(alive) == width
 
@@ -291,7 +294,7 @@ def test_a_fine_grid_walks_as_one_group_holding_no_evolution(monkeypatch):
     monkeypatch.setattr(cpa, "_groups", lambda *args: (
         (checkpoints, widths.append(len(group)) or group) for checkpoints, group in groups(*args)))
     attacks, peak = traced_peak(lambda: list(attack_offset_grid(
-        simulate_offset_grid(KEY, n, config, 1, augmentations), 0, CORRECT_BYTE0, 1)))
+        simulate_offset_grid(KEY, n, config, 1, augmentations), 0, checkpoint_stride=1)))
     assert widths == [12] and len(attacks) == 12
     assert peak < 256 * n * 8
 
@@ -301,7 +304,16 @@ def test_attack_offset_grid_rejects_sets_with_other_ciphertexts():
     first = simulate_campaign(KEY, 500, config, seed=1)
     for other in (simulate_campaign(KEY, 500, config, seed=2),    # other plaintexts
                   simulate_campaign(KEY, 400, config, seed=1)):   # fewer traces
-        attacks = attack_offset_grid([first, other], 0, CORRECT_BYTE0)
+        attacks = attack_offset_grid([first, other], 0)
         next(attacks)
         with pytest.raises(ValueError, match="must share their ciphertexts"):
             next(attacks)
+    # the wrong horses need the campaign's true key: a keyless grid is refused
+    keyless = TraceSet(first.samples, first.plaintexts, first.ciphertexts)
+    with pytest.raises(ValueError, match="must carry their true key"):
+        next(attack_offset_grid([keyless, keyless], 0))
+    # the correct guess is no parameter, and the stride and sample are keywords
+    with pytest.raises(TypeError):
+        attack_offset_grid([first], 0, CORRECT_BYTE0 + 1)
+    with pytest.raises(TypeError):
+        attack_offset_grid([first], 0, 100)

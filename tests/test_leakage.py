@@ -46,8 +46,7 @@ def test_zero_weights_give_exact_baseline():
 ])
 def test_augmentation_fires_exactly_on_trigger(trigger, want_toggle):
     aug = Augmentation(0, 2, offset=3.0, trigger=trigger)
-    config = LeakageConfig.equal_weights(1.0, augmentation=aug)
-    ts = simulate_campaign(KEY, 64, config, seed=7)
+    ts = simulate_campaign(KEY, 64, LeakageConfig.equal_weights(1.0), seed=7, augmentation=aug)
     round9, cts = aes.last_round_states_batch(KEY, ts.plaintexts)
     holds = (round9[:, 0] ^ cts[:, 0]) >> 2 & 1 == want_toggle
     assert holds.any() and not holds.all()
@@ -60,8 +59,7 @@ def test_augmentation_fires_exactly_on_trigger(trigger, want_toggle):
 
 def test_augmented_campaign_matches_formula_trace_by_trace():
     aug = Augmentation(0, 2, offset=4.0)
-    config = LeakageConfig.equal_weights(1.0, augmentation=aug)
-    ts = simulate_campaign(KEY, 600, config, seed=9)
+    ts = simulate_campaign(KEY, 600, LeakageConfig.equal_weights(1.0), seed=9, augmentation=aug)
     round9, cts = aes.last_round_states_batch(KEY, ts.plaintexts)
     bits = toggle_bits(round9, cts).astype(np.float64)
     static = 1.0 - bits[:, 8 * 0 + 2]
@@ -93,10 +91,10 @@ def test_single_trace_campaign():
 
 
 def test_campaign_peak_memory_stays_below_four_sample_matrices():
-    config = LeakageConfig.equal_weights(1.0, noise_sigma=2.0, samples_per_trace=64,
-                                         poi_index=10, augmentation=Augmentation(0, 2, 4.0))
-    simulate_campaign(KEY, 1, config, seed=8)   # the first call imports numpy.random
-    ts, peak = traced_peak(lambda: simulate_campaign(KEY, 3 * CAMPAIGN_CHUNK + 100, config, 8))
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=2.0, samples_per_trace=64, poi_index=10)
+    aug = Augmentation(0, 2, 4.0)
+    simulate_campaign(KEY, 1, config, 8, aug)   # the first call imports numpy.random
+    ts, peak = traced_peak(lambda: simulate_campaign(KEY, 3 * CAMPAIGN_CHUNK + 100, config, 8, aug))
     assert peak < 4 * ts.samples.nbytes
 
 
@@ -115,7 +113,6 @@ def configs(draw):
         bit_weights=np.array(draw(st.lists(st.floats(0, 4), min_size=128, max_size=128))),
         baseline=draw(st.floats(-100, 100)),
         noise_sigma=draw(st.floats(0, 8)),
-        augmentation=draw(augmentations),
         samples_per_trace=samples,
         poi_index=draw(st.integers(0, samples - 1)))
 
@@ -127,20 +124,21 @@ def grid_cases(draw):
     return config, n, draw(seeds), draw(st.lists(augmentations, max_size=4))
 
 
-CHUNK_CASE_CONFIG = LeakageConfig.equal_weights(1.0, noise_sigma=1.5,
-                                                augmentation=Augmentation(3, 5, 2.0))
+CHUNK_CASE_CONFIG = LeakageConfig.equal_weights(1.0, noise_sigma=1.5)
+CHUNK_CASE_AUGMENTATION = Augmentation(3, 5, 2.0)
 
 
 @settings(max_examples=15, deadline=None)
-@given(config=configs(), seed=seeds, k=st.sampled_from([1, 2]),
+@given(config=configs(), augmentation=augmentations, seed=seeds, k=st.sampled_from([1, 2]),
        extra=st.integers(1, CAMPAIGN_CHUNK))
-@example(config=CHUNK_CASE_CONFIG, seed=5, k=1, extra=CAMPAIGN_CHUNK + 123)
-@example(config=CHUNK_CASE_CONFIG, seed=5, k=2, extra=123)
-def test_campaign_chunks_are_independent(config, seed, k, extra):
+@example(config=CHUNK_CASE_CONFIG, augmentation=CHUNK_CASE_AUGMENTATION, seed=5, k=1,
+         extra=CAMPAIGN_CHUNK + 123)
+@example(config=CHUNK_CASE_CONFIG, augmentation=CHUNK_CASE_AUGMENTATION, seed=5, k=2, extra=123)
+def test_campaign_chunks_are_independent(config, augmentation, seed, k, extra):
     # whole chunks do not depend on n, so shorter campaigns are prefixes
     n = k * CAMPAIGN_CHUNK
-    full = simulate_campaign(KEY, n + extra, config, seed)
-    part = simulate_campaign(KEY, n, config, seed)
+    full = simulate_campaign(KEY, n + extra, config, seed, augmentation)
+    part = simulate_campaign(KEY, n, config, seed, augmentation)
     assert part.samples.tobytes() == full.samples[:n].tobytes()
     assert part.plaintexts.tobytes() == full.plaintexts[:n].tobytes()
     assert part.ciphertexts.tobytes() == full.ciphertexts[:n].tobytes()
@@ -153,8 +151,7 @@ def test_offset_grid_equals_separate_campaigns(case):
     yielded = list(simulate_offset_grid(KEY, n, config, seed, grid))
     assert len(yielded) == len(grid)
     for augmentation, ts in zip(grid, yielded):
-        config.augmentation = augmentation
-        alone = simulate_campaign(KEY, n, config, seed)
+        alone = simulate_campaign(KEY, n, config, seed, augmentation=augmentation)
         assert ts.samples.tobytes() == alone.samples.tobytes()
         assert ts.plaintexts.tobytes() == alone.plaintexts.tobytes()
         assert ts.ciphertexts.tobytes() == alone.ciphertexts.tobytes()
@@ -242,6 +239,9 @@ def test_config_validation():
             LeakageConfig.equal_weights(1.0, noise_sigma=bad)
     with pytest.raises(ValueError):
         simulate_campaign(KEY, 0, LeakageConfig.equal_weights(1.0), seed=1)
+    # the augmentation is simulate_campaign's argument, not a config field a grid would ignore
+    with pytest.raises(TypeError):
+        LeakageConfig.equal_weights(1.0, augmentation=Augmentation(0, 2, 4.0))
 
 
 @pytest.mark.parametrize("n,samples,seed,field", [(2 ** 32, 1, 1, "n_traces"),
