@@ -45,10 +45,9 @@ for label, traces in (("plain", plain), ("augmented", augmented)):
             rows.append([label, guess, int(hd),
                          f"{summary.means[hd]:.8g}", int(summary.counts[hd])])
 
-flip = sk.sign_flip_report(sk.fit_hd_line(sk.group_by_hd(plain, correct, 0)),
-                           sk.fit_hd_line(sk.group_by_hd(augmented, correct, 0)))
-print(f"\ncorrect-key slope flipped: {flip.flipped} "
-      f"({flip.baseline_slope:+.4f} -> {flip.augmented_slope:+.4f})")
+before, after = (sk.fit_hd_line(sk.group_by_hd(traces, correct, 0)).slope
+                 for traces in (plain, augmented))
+print(f"\ncorrect-key slope flipped: {before * after < 0} ({before:+.4f} -> {after:+.4f})")
 
 path = os.path.join(out_dir, "hd_class_means.csv")
 with open(path, "w", newline="") as fh:

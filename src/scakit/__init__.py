@@ -25,16 +25,13 @@ from .cpa import (
     cpa_attack_sets,
     pearson,
     rank_of_guess,
-    traces_to_disclosure,
 )
 from .hd import (
     HdClassSummary,
     HdFit,
-    SignFlipReport,
     attack_offset_grid,
     fit_hd_line,
     group_by_hd,
-    sign_flip_report,
     wrong_horse_scan,
 )
 from .leakage import (

@@ -118,28 +118,10 @@ def _peak_r(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out, scratch):
 @dataclass
 class CorrelationEvolution:
     """Per-guess correlation at increasing trace counts (the data behind
-    correlation-vs-traces convergence plots)."""
+    correlation-vs-traces convergence plots), as the walk of
+    :func:`cpa_attack_sets` yields it; it is not validated again."""
     checkpoints: np.ndarray   # (n_checkpoints,) strictly increasing trace counts
     values: np.ndarray        # (n_guesses, n_checkpoints) signed r
-
-    def __post_init__(self):
-        self.checkpoints = np.asarray(self.checkpoints, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if len(self.checkpoints) == 0:
-            raise ValueError("evolution needs at least one checkpoint")
-        if np.any(np.diff(self.checkpoints) <= 0):
-            raise ValueError("checkpoints must be strictly increasing")
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.checkpoints):
-            raise ValueError(f"values width must match number of checkpoints, in 2-D: got "
-                             f"shape {self.values.shape} for {len(self.checkpoints)} checkpoints")
-        _check_bounded(np.abs(self.values))
-
-
-def _check_bounded(abs_r):
-    """``abs_r``; ValueError unless every |r| is at most 1, to within rounding."""
-    if not np.all(abs_r <= 1.0 + 1e-9):   # NaN fails this too
-        raise ValueError("correlation values outside [-1, 1]")
-    return abs_r
 
 
 @dataclass
@@ -234,7 +216,9 @@ def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE,
             r = (_peak_r if n_samples > 1 else _correlations)(
                 np.array(checkpoints[done], float), *x_sums[:, :k], *out, xy[1 - p][:, :k],
                 scratch[:, :k])[..., 0]   # (set, checkpoint, guess)
-            abs_r = _check_bounded(np.abs(r))
+            abs_r = np.abs(r)
+            if not np.all(abs_r <= 1.0 + 1e-9):   # to within rounding; NaN fails this too
+                raise ValueError("correlation values outside [-1, 1]")
             if guess is not None:
                 last = _last_loss(abs_r, guess)
                 lost = np.where(last < 0, lost, i + last)
@@ -248,7 +232,7 @@ def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE,
                                  "needs at least 2 traces and samples that vary across them")
             disclosure = None if guess is None or first == len(checkpoints) else checkpoints[first]
             yield (AttackResult(scores, disclosure, guess),
-                   CorrelationEvolution(checkpoints, values[g]) if evolutions else None)
+                   CorrelationEvolution(np.array(checkpoints), values[g]) if evolutions else None)
 
 
 def _groups(trace_sets, stride, evolutions):
@@ -280,15 +264,6 @@ def _groups(trace_sets, stride, evolutions):
         raise
     if group:
         yield checkpoints, group
-
-
-def traces_to_disclosure(evolution: CorrelationEvolution, correct_guess) -> int | None:
-    """Smallest checkpoint from which the correct guess holds the
-    strictly highest |r| at every remaining checkpoint, or None if it
-    never stays on top (stable disclosure, not first touch)."""
-    aes._check_guess(correct_guess)
-    first = _last_loss(np.abs(evolution.values.T), correct_guess) + 1
-    return int(evolution.checkpoints[first]) if first < len(evolution.checkpoints) else None
 
 
 def _last_loss(abs_r, guess):

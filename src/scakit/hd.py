@@ -55,13 +55,6 @@ class HdFit:
     n_classes_used: int
 
 
-@dataclass
-class SignFlipReport:
-    flipped: bool
-    baseline_slope: float
-    augmented_slope: float
-
-
 def _sample(traces: TraceSet, sample_index):
     """The chosen sample column as float64."""
     if not 0 <= sample_index < traces.samples_per_trace:
@@ -101,15 +94,6 @@ def fit_hd_line(summary: HdClassSummary) -> HdFit:
                  n_classes_used=int(mask.sum()))
 
 
-def sign_flip_report(baseline: HdFit, augmented: HdFit) -> SignFlipReport:
-    """Did the augmentation flip the sign of the fitted slope?"""
-    return SignFlipReport(
-        flipped=bool(baseline.slope * augmented.slope < 0),
-        baseline_slope=baseline.slope,
-        augmented_slope=augmented.slope,
-    )
-
-
 def wrong_horse_scan(traces: TraceSet, byte_index, correct_guess, sample_index=0):
     """Exhaustively fit all 256 guesses and return the incorrect ones
     whose fit |r| beats the correct guess's, in ascending guess order.
@@ -133,11 +117,16 @@ def attack_offset_grid(trace_sets, byte_index, *, checkpoint_stride=CHECKPOINT_S
     are built once, from the first.
     """
     taken = deque()   # the sets cpa_attack_sets has taken, first in, first out
-    pairs, sets = None, (taken.append(traces) or traces for traces in trace_sets)
-    for result, _ in cpa_attack_sets(sets, byte_index, checkpoint_stride, evolutions=False):
-        traces = taken.popleft()
-        if result.correct_guess is None:
+
+    def keyed(traces):   # refused as it is taken, before any work on its group
+        if traces.true_key is None:
             raise ValueError("the trace sets of an offset grid must carry their true key")
+        taken.append(traces)
+        return traces
+    pairs = None
+    for result, _ in cpa_attack_sets(map(keyed, trace_sets), byte_index, checkpoint_stride,
+                                     evolutions=False):
+        traces = taken.popleft()
         pairs = pairs or _pair_classes(traces.ciphertexts, byte_index)
         yield result, _wrong_horses(pairs, _sample(traces, sample_index), result.correct_guess)
 

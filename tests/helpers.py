@@ -1,6 +1,7 @@
 """Test helpers: the scalar CPA model, an oracle for ``aes.hypothesis_matrix``
 built from ``INV_SBOX`` and ``HW_TABLE`` alone; a reference for the CPA walk's
-evolution built from public names alone; a writer of the raw float32 +
+evolution built from public names alone, and one for its disclosure that is a
+plain loop over an evolution's checkpoints; a writer of the raw float32 +
 metadata CSV capture format that ``import_raw`` reads; the traced-memory peak
 of a call, which every memory test reads; and the commands whose outputs the
 recorded digests pin."""
@@ -56,6 +57,19 @@ def reference_evolution(traces, byte_index, checkpoints):
         values.append(r[np.arange(256), np.abs(r).argmax(axis=1)])
         start = n
     return np.array(values).T
+
+
+def reference_disclosure(evolution, guess):
+    """The first checkpoint from which ``guess`` has a strictly higher |r| than
+    every other guess at that checkpoint and every later one, or None."""
+    disclosure = None
+    for n, column in zip(evolution.checkpoints, evolution.values.T):
+        rivals = [abs(r) for other, r in enumerate(column) if other != guess]
+        if abs(column[guess]) <= max(rivals):
+            disclosure = None
+        elif disclosure is None:
+            disclosure = int(n)
+    return disclosure
 
 
 def traced_peak(call):

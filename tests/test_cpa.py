@@ -14,13 +14,12 @@ from scakit.cpa import (
     cpa_attack_sets,
     pearson,
     rank_of_guess,
-    traces_to_disclosure,
 )
 from scakit.leakage import Augmentation, LeakageConfig, simulate_campaign, simulate_offset_grid
 from scakit.traceio import import_raw
 from scakit.traces import TraceSet
 
-from helpers import export_raw, reference_evolution
+from helpers import export_raw, reference_disclosure, reference_evolution
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"  # round-10 key byte 0 is 0x33
 CORRECT_BYTE0 = 51
@@ -116,51 +115,33 @@ def test_checkpoint_schedule():
         checkpoint_schedule(100, 0)
 
 
-def _evolution(checkpoints, correct_vals, other_vals, correct=51):
+def _disclosure(checkpoints, correct_vals, other_vals, correct=51):
+    """The disclosure of a hand-built evolution by the walk's rule
+    (``cpa._last_loss``), which the reference loop must give too."""
     values = np.full((256, len(checkpoints)), other_vals, dtype=float)
     values[correct] = correct_vals
-    return CorrelationEvolution(np.array(checkpoints), values)
+    first = cpa._last_loss(np.abs(values.T), correct) + 1
+    disclosure = checkpoints[first] if first < len(checkpoints) else None
+    assert disclosure == reference_disclosure(
+        CorrelationEvolution(np.array(checkpoints), values), correct)
+    return disclosure
 
 
 def test_traces_to_disclosure_always_first():
-    evo = _evolution([1000, 2000, 3000], [0.9, 0.9, 0.9], 0.1)
-    assert traces_to_disclosure(evo, 51) == 1000
+    assert _disclosure([1000, 2000, 3000], [0.9, 0.9, 0.9], 0.1) == 1000
 
 
 def test_traces_to_disclosure_never_first():
-    evo = _evolution([1000, 2000, 3000], [0.05, 0.05, 0.05], 0.1)
-    assert traces_to_disclosure(evo, 51) is None
+    assert _disclosure([1000, 2000, 3000], [0.05, 0.05, 0.05], 0.1) is None
 
 
 def test_traces_to_disclosure_stabilizes_late():
-    evo = _evolution([1000, 2000, 3000, 4000], [0.05, 0.05, 0.9, 0.9], 0.1)
-    assert traces_to_disclosure(evo, 51) == 3000
+    assert _disclosure([1000, 2000, 3000, 4000], [0.05, 0.05, 0.9, 0.9], 0.1) == 3000
     # a tie is not a strict lead
-    evo = _evolution([1000, 2000], [0.1, 0.1], 0.1)
-    assert traces_to_disclosure(evo, 51) is None
+    assert _disclosure([1000, 2000], [0.1, 0.1], 0.1) is None
+    assert _disclosure([1000, 2000, 3000], [0.1, 0.9, 0.9], 0.1) == 2000
     # a lead lost again does not count
-    evo = _evolution([1000, 2000, 3000, 4000], [0.9, 0.05, 0.9, 0.9], 0.1)
-    assert traces_to_disclosure(evo, 51) == 3000
-
-
-def test_evolution_validation():
-    with pytest.raises(ValueError):
-        CorrelationEvolution(np.array([100, 100]), np.zeros((256, 2)))
-    with pytest.raises(ValueError):
-        CorrelationEvolution(np.array([100, 200]), np.full((256, 2), 1.01))
-    with pytest.raises(ValueError):
-        CorrelationEvolution(np.array([], dtype=int), np.zeros((256, 0)))
-    with pytest.raises(ValueError, match="values width"):
-        CorrelationEvolution(np.array([100, 200]), np.zeros((256, 3)))
-
-
-def test_evolution_rejects_values_that_are_not_2d_or_are_nan():
-    with pytest.raises(ValueError, match=r"values width .* shape \(256,\)"):
-        CorrelationEvolution(np.array([100]), np.zeros(256))
-    values = np.zeros((256, 2))
-    values[7, 1] = np.nan   # NaN > 1 is False, so a bound written as "> 1" lets it through
-    with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
-        CorrelationEvolution(np.array([100, 200]), values)
+    assert _disclosure([1000, 2000, 3000, 4000], [0.9, 0.05, 0.9, 0.9], 0.1) == 3000
 
 
 def test_attack_result_ranks_its_own_scores():
@@ -343,7 +324,7 @@ def test_attack_sets_reject_an_empty_first_set_and_other_ciphertexts():
 
 def _attack_both_ways(trace_sets, stride):
     """Each set's ``(result, evolution)`` from a walk that keeps evolutions,
-    whose disclosure must be traces_to_disclosure's on the evolution, and
+    whose disclosure must be reference_disclosure's on the evolution, and
     from which a walk that keeps none may differ only by yielding None."""
     kept = list(cpa_attack_sets(trace_sets, 0, stride))
     bare = list(cpa_attack_sets(trace_sets, 0, stride, evolutions=False))
@@ -351,7 +332,7 @@ def _attack_both_ways(trace_sets, stride):
     for (result, evolution), (other, none) in zip(kept, bare):
         assert none is None
         if result.correct_guess is not None:
-            assert result.disclosure == traces_to_disclosure(evolution, result.correct_guess)
+            assert result.disclosure == reference_disclosure(evolution, result.correct_guess)
         assert other.scores.tobytes() == result.scores.tobytes()
         assert np.array_equal(other.ranking, result.ranking)
         assert (other.best_guess, other.disclosure, other.correct_guess, other.correct_rank) == (
@@ -378,15 +359,20 @@ def test_walk_disclosure_covers_first_late_tied_and_no_leads():
     config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0)
     noisy, defeated = simulate_offset_grid(KEY, 3000, config, 1, [None, Augmentation(0, 2, 6.0)])
     quiet = simulate_campaign(KEY, 3000, LeakageConfig.single_byte_weights(0, noise_sigma=4.0), 1)
-    samples = quiet.samples.copy()
-    samples[:300] = 0.0
-    tied = TraceSet(samples, quiet.plaintexts, quiet.ciphertexts, true_key=quiet.true_key)
-    sets = [quiet, noisy, defeated, tied]
+
+    def zeroed(count):
+        samples = quiet.samples.copy()
+        samples[:count] = 0.0
+        return TraceSet(samples, quiet.plaintexts, quiet.ciphertexts, true_key=quiet.true_key)
+    sets = [quiet, noisy, defeated, zeroed(300)]
     disclosures = [result.disclosure for result, _ in _attack_both_ways(sets, 100)]
     assert disclosures == [100, 300, None, 500]
     for traces, disclosure in zip(sets, disclosures):   # each alone
         assert [result.disclosure for result, _ in _attack_both_ways([traces], 100)] == [
             disclosure]
+    # A tie followed directly by a lead: zeroed over its first 500 traces and
+    # walked at stride 500, the quiet set ties at 500 and leads from 1000 on.
+    assert [result.disclosure for result, _ in _attack_both_ways([zeroed(500)], 500)] == [1000]
 
 
 @pytest.mark.parametrize("evolutions", [True, False])
@@ -422,7 +408,7 @@ def test_attack_reports_disclosure_for_simulated_sets():
     config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0)
     ts = simulate_campaign(KEY, 3000, config, seed=1)
     result, evolution = cpa_attack(ts, 0)
-    assert result.disclosure == traces_to_disclosure(evolution, CORRECT_BYTE0)
+    assert result.disclosure == reference_disclosure(evolution, CORRECT_BYTE0)
     assert result.disclosure is not None
 
 

@@ -12,7 +12,6 @@ from scakit.hd import (
     attack_offset_grid,
     fit_hd_line,
     group_by_hd,
-    sign_flip_report,
     wrong_horse_scan,
 )
 from scakit.leakage import (Augmentation, LeakageConfig, Trigger, simulate_campaign,
@@ -95,17 +94,6 @@ def test_fit_needs_two_classes():
                              key_guess=0)
     with pytest.raises(ValueError):
         fit_hd_line(summary)
-
-
-def test_sign_flip_report():
-    a = fit_hd_line(_line_summary(slope=-1.0))
-    b = fit_hd_line(_line_summary(slope=1.0))
-    c = fit_hd_line(_line_summary(slope=-0.5))
-    assert sign_flip_report(a, b).flipped is True
-    assert sign_flip_report(a, c).flipped is False
-    report = sign_flip_report(a, b)
-    assert (report.baseline_slope, report.augmented_slope) == (a.slope, b.slope)
-    assert (a.slope, b.slope) == (pytest.approx(-1.0), pytest.approx(1.0))
 
 
 def _line_summary(slope, intercept=0.0):
@@ -231,7 +219,7 @@ def test_argument_validation():
         wrong_horse_scan(ts, 0, 300)
     with pytest.raises(ValueError):
         wrong_horse_scan(ts, 0, 0, sample_index=1)
-    empty = TraceSet(np.zeros((0, 1)), np.zeros((0, 16)), np.zeros((0, 16)))
+    empty = TraceSet(np.zeros((0, 1)), np.zeros((0, 16)), np.zeros((0, 16)), true_key=KEY)
     with pytest.raises(ValueError, match="empty trace set"):
         next(attack_offset_grid([empty], 0))
 
@@ -299,7 +287,7 @@ def test_a_fine_grid_walks_as_one_group_holding_no_evolution(monkeypatch):
     assert peak < 256 * n * 8
 
 
-def test_attack_offset_grid_rejects_sets_with_other_ciphertexts():
+def test_attack_offset_grid_rejects_sets_with_other_ciphertexts(monkeypatch):
     config = LeakageConfig.equal_weights(1.0, noise_sigma=1.0)
     first = simulate_campaign(KEY, 500, config, seed=1)
     for other in (simulate_campaign(KEY, 500, config, seed=2),    # other plaintexts
@@ -309,9 +297,13 @@ def test_attack_offset_grid_rejects_sets_with_other_ciphertexts():
         with pytest.raises(ValueError, match="must share their ciphertexts"):
             next(attacks)
     # the wrong horses need the campaign's true key: a keyless grid is refused
+    # as its first set is taken, before any hypothesis row is built
     keyless = TraceSet(first.samples, first.plaintexts, first.ciphertexts)
+    calls, real = [], aes.hypothesis_matrix
+    monkeypatch.setattr(aes, "hypothesis_matrix", lambda *args: calls.append(1) or real(*args))
     with pytest.raises(ValueError, match="must carry their true key"):
         next(attack_offset_grid([keyless, keyless], 0))
+    assert calls == []
     # the correct guess is no parameter, and the stride and sample are keywords
     with pytest.raises(TypeError):
         attack_offset_grid([first], 0, CORRECT_BYTE0 + 1)
