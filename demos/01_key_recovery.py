@@ -19,7 +19,7 @@ traces = sk.simulate_campaign(key, 4000, config, seed=1)
 recovered = np.zeros(16, dtype=np.uint8)
 print(f"{'byte':>4} {'key pos':>7} {'best':>5} {'|r|':>7} {'disclosed at':>12}")
 for j in range(16):
-    result, _ = sk.cpa_attack(traces, j)
+    result = sk.cpa_attack(traces, j)
     pos = int(aes.SR_FORWARD[j])
     recovered[pos] = result.best_guess
     print(f"{j:>4} {pos:>7} {result.best_guess:>5} "

@@ -20,7 +20,7 @@ from .aes import (
 )
 from .cpa import (
     AttackResult,
-    CorrelationEvolution,
+    checkpoint_schedule,
     cpa_attack,
     cpa_attack_sets,
     pearson,

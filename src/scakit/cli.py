@@ -168,7 +168,7 @@ def cmd_simulate(args) -> int:
 
 
 def _attack_one(traces, byte_index, stride, evolutions=True):
-    result, evolution = cpa_attack(traces, byte_index, stride, evolutions)
+    result = cpa_attack(traces, byte_index, stride, evolutions)
     entry = {
         "byte_index": byte_index,
         "target_key_position": int(aes.SR_FORWARD[byte_index]),
@@ -178,7 +178,7 @@ def _attack_one(traces, byte_index, stride, evolutions=True):
         "correct_rank": result.correct_rank,
         "disclosure": result.disclosure,
     }
-    return result, evolution, entry
+    return result, entry
 
 
 def cmd_attack(args) -> int:
@@ -199,7 +199,7 @@ def cmd_attack(args) -> int:
         entries = []
         recovered = np.zeros(16, dtype=np.uint8)
         for byte_index in range(16):
-            _, _, entry = _attack_one(traces, byte_index, args.stride, evolutions=False)
+            _, entry = _attack_one(traces, byte_index, args.stride, evolutions=False)
             entries.append(entry)
             recovered[entry["target_key_position"]] = entry["best_guess"]
         report["bytes"] = entries
@@ -212,11 +212,12 @@ def cmd_attack(args) -> int:
             report["true_last_round_key_hex"] = aes.block_hex(true_k10)
             report["recovered"] = bool(np.array_equal(recovered, true_k10))
     else:
-        result, evolution, entry = _attack_one(traces, args.byte or 0, args.stride)
+        result, entry = _attack_one(traces, args.byte or 0, args.stride)
         report.update(entry)
         report["ranking"] = result.ranking.tolist()
         report["scores"] = result.scores.tolist()
-        checkpoints, curves = evolution.checkpoints.tolist(), evolution.values.tolist()
+        checkpoints = checkpoint_schedule(traces.n_traces, args.stride)
+        curves = result.evolution.tolist()
         report["evolution"] = {"checkpoints": checkpoints, "curves": curves}
         if args.evolution_csv:   # one % format per checkpoint's 256 lines
             lines = "\r\n".join(f"{{0}},{guess},%.17g" for guess in range(256))

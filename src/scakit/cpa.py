@@ -116,19 +116,11 @@ def _peak_r(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out, scratch):
 
 
 @dataclass
-class CorrelationEvolution:
-    """Per-guess correlation at increasing trace counts (the data behind
-    correlation-vs-traces convergence plots), as the walk of
-    :func:`cpa_attack_sets` yields it; it is not validated again."""
-    checkpoints: np.ndarray   # (n_checkpoints,) strictly increasing trace counts
-    values: np.ndarray        # (n_guesses, n_checkpoints) signed r
-
-
-@dataclass
 class AttackResult:
     scores: np.ndarray    # (256,) max-over-samples |r|, indexed by guess
     disclosure: int | None = None
     correct_guess: int | None = None   # known when the traces carry their true key
+    evolution: np.ndarray | None = None   # (256, checkpoints) signed r, None without evolutions
     ranking: np.ndarray = field(init=False)   # all 256 guesses, best first, ties by guess
     best_guess: int = field(init=False)
     correct_rank: int | None = field(default=None, init=False)   # 1-based, of correct_guess
@@ -159,8 +151,8 @@ def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=CHECKPOINT_STRIDE
                evolutions=True):
     """Mount the attack on one key byte.
 
-    Returns ``(AttackResult, CorrelationEvolution)``, the evolution None
-    with ``evolutions=False`` (:func:`cpa_attack_sets`).  The ranking orders
+    Returns an :class:`AttackResult`, whose evolution is None with
+    ``evolutions=False`` (:func:`cpa_attack_sets`).  The ranking orders
     guesses by descending max-over-samples |r| at the full trace count,
     ties broken by ascending guess value.  When the trace set carries its
     true key, the result also reports the correct guess, its rank and
@@ -175,7 +167,7 @@ def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE,
     """Yield :func:`cpa_attack` of each of ``trace_sets``, the points of one
     campaign as ``simulate_offset_grid`` yields them: each shares the first
     set's ciphertexts, sample count and true key, and a later set that does
-    not raises ValueError once the sets before it are yielded.  With
+    not raises ValueError as it is taken, before any work on its group.  With
     ``evolutions=False`` the evolution is None, and a set keeps only its scores
     and the last checkpoint at which the correct guess did not strictly lead.
 
@@ -231,37 +223,31 @@ def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE,
                 raise ValueError("every key guess scores 0, so no key can be ranked: the attack "
                                  "needs at least 2 traces and samples that vary across them")
             disclosure = None if guess is None or first == len(checkpoints) else checkpoints[first]
-            yield (AttackResult(scores, disclosure, guess),
-                   CorrelationEvolution(np.array(checkpoints), values[g]) if evolutions else None)
+            yield AttackResult(scores, disclosure, guess, values[g] if evolutions else None)
 
 
 def _groups(trace_sets, stride, evolutions):
     """Yield ``(checkpoints, group)``: the trace sets, in runs within both
     budgets.  They are one campaign: every set must share the first one's
     ciphertexts, sample count and true key, of which only these are kept.  A
-    set that does not ends its group, which is yielded before the error."""
+    set that does not raises as it is taken, so its group is never walked."""
     group, shared = [], None
-    try:
-        for traces in trace_sets:
-            fields = traces.ciphertexts, traces.samples_per_trace, traces.true_key
-            if shared is None:
-                checkpoints, shared = checkpoint_schedule(len(traces), stride), fields
-                if len(traces) == 0:
-                    raise ValueError("cannot attack an empty trace set")
-                held = 256 * len(checkpoints) if evolutions else traces.samples.size   # each set
-                width = min(_BLOCK_ELEMENTS // (256 * traces.samples_per_trace),
-                            _GROUP_ELEMENTS // held)
-            elif not all(map(np.array_equal, fields, shared)):
-                raise ValueError("the trace sets of an offset grid must share their ciphertexts, "
-                                 "sample count and true key")
-            group.append(traces)
-            if len(group) >= width:
-                yield checkpoints, group
-                group.clear()
-    except Exception:
-        if group:
+    for traces in trace_sets:
+        fields = traces.ciphertexts, traces.samples_per_trace, traces.true_key
+        if shared is None:
+            checkpoints, shared = checkpoint_schedule(len(traces), stride), fields
+            if len(traces) == 0:
+                raise ValueError("cannot attack an empty trace set")
+            held = 256 * len(checkpoints) if evolutions else traces.samples.size   # each set
+            width = min(_BLOCK_ELEMENTS // (256 * traces.samples_per_trace),
+                        _GROUP_ELEMENTS // held)
+        elif not all(map(np.array_equal, fields, shared)):
+            raise ValueError("the trace sets of an offset grid must share their ciphertexts, "
+                             "sample count and true key")
+        group.append(traces)
+        if len(group) >= width:
             yield checkpoints, group
-        raise
+            group.clear()
     if group:
         yield checkpoints, group
 

@@ -114,18 +114,20 @@ def attack_offset_grid(trace_sets, byte_index, *, checkpoint_stride=CHECKPOINT_S
     result's ``correct_guess`` give them.  The sets are the points of one
     campaign, which must carry its true key; :func:`~scakit.cpa.cpa_attack_sets`
     attacks them a group at a time and keeps no evolution, and the pair classes
-    are built once, from the first.
+    are built once, from the first.  A set without its key, or without the
+    sample ``sample_index``, is refused as it is taken, before any work on its group.
     """
     taken = deque()   # the sets cpa_attack_sets has taken, first in, first out
 
-    def keyed(traces):   # refused as it is taken, before any work on its group
+    def checked(traces):
         if traces.true_key is None:
             raise ValueError("the trace sets of an offset grid must carry their true key")
+        _sample(traces, sample_index)   # for its range check alone
         taken.append(traces)
         return traces
     pairs = None
-    for result, _ in cpa_attack_sets(map(keyed, trace_sets), byte_index, checkpoint_stride,
-                                     evolutions=False):
+    for result in cpa_attack_sets(map(checked, trace_sets), byte_index, checkpoint_stride,
+                                  evolutions=False):
         traces = taken.popleft()
         pairs = pairs or _pair_classes(traces.ciphertexts, byte_index)
         yield result, _wrong_horses(pairs, _sample(traces, sample_index), result.correct_guess)

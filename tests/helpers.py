@@ -1,7 +1,7 @@
 """Test helpers: the scalar CPA model, an oracle for ``aes.hypothesis_matrix``
 built from ``INV_SBOX`` and ``HW_TABLE`` alone; a reference for the CPA walk's
 evolution built from public names alone, and one for its disclosure that is a
-plain loop over an evolution's checkpoints; a writer of the raw float32 +
+plain loop over an evolution's checkpoints and values; a writer of the raw float32 +
 metadata CSV capture format that ``import_raw`` reads; the traced-memory peak
 of a call, which every memory test reads; and the commands whose outputs the
 recorded digests pin."""
@@ -59,11 +59,12 @@ def reference_evolution(traces, byte_index, checkpoints):
     return np.array(values).T
 
 
-def reference_disclosure(evolution, guess):
-    """The first checkpoint from which ``guess`` has a strictly higher |r| than
-    every other guess at that checkpoint and every later one, or None."""
+def reference_disclosure(checkpoints, values, guess):
+    """The first of ``checkpoints`` from which ``guess`` has a strictly higher
+    |r| in ``values`` (256, checkpoints) than every other guess at that
+    checkpoint and every later one, or None."""
     disclosure = None
-    for n, column in zip(evolution.checkpoints, evolution.values.T):
+    for n, column in zip(checkpoints, values.T):
         rivals = [abs(r) for other, r in enumerate(column) if other != guess]
         if abs(column[guess]) <= max(rivals):
             disclosure = None

@@ -139,7 +139,7 @@ def test_criterion_03_noiseless_oracle_attack():
     for j in range(16):
         config = sk.LeakageConfig.single_byte_weights(j, W)
         traces = sk.simulate_campaign(KEY, 512, config, seed=300 + j)
-        result, _ = sk.cpa_attack(traces, j, checkpoint_stride=512)
+        result = sk.cpa_attack(traces, j, checkpoint_stride=512)
         correct = sk.correct_last_round_guess(KEY, j)
         min_r = min(min_r, float(result.scores[correct]))
         all_rank1 &= sk.rank_of_guess(result, correct) == 1
@@ -150,7 +150,7 @@ def test_criterion_03_noiseless_oracle_attack():
     config = sk.LeakageConfig.equal_weights(W)
     traces = sk.simulate_campaign(KEY, 512, config, seed=1)
     equal_rank1 = all(
-        sk.rank_of_guess(sk.cpa_attack(traces, j, checkpoint_stride=512)[0],
+        sk.rank_of_guess(sk.cpa_attack(traces, j, checkpoint_stride=512),
                          sk.correct_last_round_guess(KEY, j)) == 1
         for j in range(16))
 
@@ -166,7 +166,7 @@ def test_criterion_04_noisy_disclosure():
     outcomes = []
     for _ in range(2):
         traces = sk.simulate_campaign(KEY, 20_000, config, seed=1)
-        result, _ = sk.cpa_attack(traces, 0)
+        result = sk.cpa_attack(traces, 0)
         outcomes.append(result.disclosure)
     ok = (outcomes[0] is not None and outcomes[0] <= 20_000
           and outcomes[0] == outcomes[1])
@@ -178,7 +178,7 @@ def test_criterion_04_noisy_disclosure():
 def test_criterion_05_countermeasure_blocks_disclosure(augmented_4w_campaigns):
     observed = {}
     for seed, traces in augmented_4w_campaigns.items():
-        result, _ = sk.cpa_attack(traces, 0)
+        result = sk.cpa_attack(traces, 0)
         observed[seed] = result.disclosure
     ok = all(d is None for d in observed.values())
     detail = report(
@@ -224,7 +224,7 @@ def test_criterion_08_streaming_numerics():
     samples = traces.samples.astype(np.float64)
 
     # the CPA walk over one 10k segment, against two-pass r at each guess's peak sample
-    streamed = sk.cpa_attack(traces, 0, 10_000)[1].values[:, -1]
+    streamed = sk.cpa_attack(traces, 0, 10_000).evolution[:, -1]
     reference = np.empty((256, 2))
     for g in range(256):
         for s in range(2):
@@ -233,7 +233,7 @@ def test_criterion_08_streaming_numerics():
     two_pass_err = float(np.max(np.abs(streamed - peak)))
 
     # the same sums split into segments of 1, 2500, 2501 and 6499 traces
-    merge_err = max(float(np.max(np.abs(sk.cpa_attack(traces, 0, stride)[1].values[:, -1]
+    merge_err = max(float(np.max(np.abs(sk.cpa_attack(traces, 0, stride).evolution[:, -1]
                                         - streamed)))
                     for stride in (1, 2500, 2501, 6499))
 
@@ -343,13 +343,13 @@ def test_offset_threshold_matches_simulation(augmented_4w_campaigns):
     # below it, discloses and 4.5w, just above it, does not
     o_star = offset_threshold(CORRECT_BYTE0, 2)
     assert 4.0 * W < o_star < 4.5 * W, o_star
-    below = {seed: sk.cpa_attack(traces, 0)[0].disclosure
+    below = {seed: sk.cpa_attack(traces, 0).disclosure
              for seed, traces in augmented_4w_campaigns.items()}
     aug = sk.Augmentation(0, 2, offset=4.5 * W, trigger=sk.Trigger.ON_STATIC)
     config = sk.LeakageConfig.equal_weights(W, noise_sigma=SIGMA)
     above = {}
     for seed in AUG_SEEDS:
-        result, _ = sk.cpa_attack(sk.simulate_campaign(KEY, 50_000, config, seed, aug), 0)
+        result = sk.cpa_attack(sk.simulate_campaign(KEY, 50_000, config, seed, aug), 0)
         above[seed] = (result.disclosure, sk.rank_of_guess(result, CORRECT_BYTE0))
     detail = f"4w disclosure per seed {below}; 4.5w (disclosure, correct rank) per seed {above}"
     assert all(d is not None for d in below.values()), detail

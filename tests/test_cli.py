@@ -172,13 +172,24 @@ def test_sweep_grid_errors_name_their_flag(tmp_path, capsys, flag, value, kind):
 
 
 def test_cli_imports_no_private_names():
-    # The CLI drives the library, and each module the others, through
-    # their public names only.
-    private = [f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
-               for path in sorted(Path(cli.__file__).parent.glob("*.py"))
-               for node in ast.walk(ast.parse(path.read_text()))
+    # No module imports a private name from another, and the CLI reaches no
+    # private attribute of a scakit module it imports: it drives the library
+    # through public names only.  (Library modules may call each other's
+    # private helpers as attributes, as leakage and hd do aes's.)
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(cli.__file__).parent.glob("*.py"))}
+    private = [f"{name}:{node.lineno}: {node.module}.{alias.name}"
+               for name, tree in trees.items() for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) for alias in node.names
                if alias.name.startswith("_")]
+    modules = {alias.asname or alias.name for node in ast.walk(trees["cli.py"])
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+               for alias in node.names}
+    assert "aes" in modules
+    private += [f"cli.py:{node.lineno}: {node.value.id}.{node.attr}"
+                for node in ast.walk(trees["cli.py"])
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")]
     assert private == []
 
 
@@ -558,7 +569,7 @@ def test_sweep_equals_per_point_oracle(tmp_path, case):
                 samples_per_trace=p["samples"], poi_index=p["poi"])
             traces = simulate_campaign(KEY, p["n"], config, p["seed"],
                                        Augmentation(p["augment_byte"], bit, offset, p["trigger"]))
-            result, _ = cpa_attack(traces, p["byte"], p["stride"])
+            result = cpa_attack(traces, p["byte"], p["stride"])
             horses = wrong_horse_scan(traces, p["byte"], correct, sample_index=p["poi"])
             expected.append({"bit": str(bit), "offset": format(float(offset), ".17g"),
                              "disclosure": "" if result.disclosure is None

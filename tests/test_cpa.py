@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scakit import aes, cpa
 from scakit.cpa import (
     AttackResult,
-    CorrelationEvolution,
     checkpoint_schedule,
     cpa_attack,
     cpa_attack_sets,
@@ -55,7 +54,7 @@ def test_accumulator_matches_two_pass():
     # each guess's peak sample
     config = LeakageConfig.equal_weights(1.0, noise_sigma=3.0, samples_per_trace=3, poi_index=1)
     ts = simulate_campaign(KEY, 2000, config, seed=0)
-    streamed = cpa_attack(ts, 0)[1].values[:, -1]
+    streamed = cpa_attack(ts, 0).evolution[:, -1]
     hyp = aes.hypothesis_matrix(ts.ciphertexts, 0)
     reference = two_pass_correlations(hyp, ts.samples)
     peak = np.abs(reference).argmax(axis=1)
@@ -78,8 +77,8 @@ def test_accumulator_merge_matches_sequential(stride):
     # sums split every stride traces, and carried from block to block, give
     # the r of one 5000-trace segment
     ts = simulate_campaign(KEY, 5000, SPLIT_CONFIG, seed=1)
-    whole = cpa_attack(ts, 0, 5000)[1].values[:, -1]
-    split = cpa_attack(ts, 0, stride)[1].values[:, -1]
+    whole = cpa_attack(ts, 0, 5000).evolution[:, -1]
+    split = cpa_attack(ts, 0, stride).evolution[:, -1]
     assert np.max(np.abs(split - whole)) < 1e-12
 
 
@@ -90,10 +89,10 @@ def test_accumulator_holds_a_large_dc_baseline():
     config = LeakageConfig.equal_weights(1.0, baseline=32768.0, noise_sigma=4.0,
                                          samples_per_trace=2, poi_index=1)
     ts = simulate_campaign(KEY, n, config, seed=6)
-    result, evolution = cpa_attack(ts, 0, 1000)
+    result = cpa_attack(ts, 0, 1000)
     reference = two_pass_correlations(aes.hypothesis_matrix(ts.ciphertexts, 0), ts.samples)
     peak = reference[np.arange(256), np.abs(reference).argmax(axis=1)]
-    assert np.max(np.abs(evolution.values[:, -1] - peak)) < 1e-8
+    assert np.max(np.abs(result.evolution[:, -1] - peak)) < 1e-8
     assert result.correct_rank == 1
 
 
@@ -102,7 +101,7 @@ def test_accumulator_zero_variance_convention():
     # last checkpoint), a zero column exactly: neither leaves a residue in r.
     ts = simulate_campaign(KEY, 1000, LeakageConfig.equal_weights(1.0, noise_sigma=4.0), seed=5)
     walks = [cpa_attack(TraceSet(np.hstack([ts.samples, np.full((1000, 1), value, np.float32)]),
-                                 ts.plaintexts, ts.ciphertexts), 0, 7)[1].values
+                                 ts.plaintexts, ts.ciphertexts), 0, 7).evolution
              for value in (0.0, 0.1)]
     assert walks[0].tobytes() == walks[1].tobytes()
 
@@ -122,8 +121,7 @@ def _disclosure(checkpoints, correct_vals, other_vals, correct=51):
     values[correct] = correct_vals
     first = cpa._last_loss(np.abs(values.T), correct) + 1
     disclosure = checkpoints[first] if first < len(checkpoints) else None
-    assert disclosure == reference_disclosure(
-        CorrelationEvolution(np.array(checkpoints), values), correct)
+    assert disclosure == reference_disclosure(checkpoints, values, correct)
     return disclosure
 
 
@@ -165,17 +163,17 @@ def test_noiseless_equal_weight_attack_recovers_all_bytes():
     ts = simulate_campaign(KEY, 512, LeakageConfig.equal_weights(1.0), seed=1)
     k10 = aes.last_round_key(aes.as_block(KEY))
     for j in range(16):
-        result, evolution = cpa_attack(ts, j, checkpoint_stride=128)
+        result = cpa_attack(ts, j, checkpoint_stride=128)
         correct = aes.correct_last_round_guess(KEY, j)
         assert result.best_guess == correct
         assert result.best_guess == int(k10[aes.SR_FORWARD[j]])
         assert rank_of_guess(result, correct) == 1
-        assert np.all(np.abs(evolution.values) <= 1.0 + 1e-9)
+        assert np.all(np.abs(result.evolution) <= 1.0 + 1e-9)
 
 
 def test_rank_of_guess_is_total(tmp_path):
     ts = simulate_campaign(KEY, 256, LeakageConfig.equal_weights(1.0), seed=2)
-    result, _ = cpa_attack(ts, 0, checkpoint_stride=256)
+    result = cpa_attack(ts, 0, checkpoint_stride=256)
     assert rank_of_guess(result, result.best_guess) == 1
     ranks = {rank_of_guess(result, g) for g in range(256)}
     assert ranks == set(range(1, 257))
@@ -185,14 +183,14 @@ def test_rank_of_guess_is_total(tmp_path):
                               seed=2)
     correct_ranks = []
     for j in range(16):
-        result, _ = cpa_attack(noisy, j, checkpoint_stride=256)
+        result = cpa_attack(noisy, j, checkpoint_stride=256)
         assert result.correct_guess == aes.correct_last_round_guess(KEY, j)
         assert result.correct_rank == rank_of_guess(result, result.correct_guess)
         correct_ranks.append(result.correct_rank)
     assert max(correct_ranks) > 1
     # and neither for an imported capture, which records no key
     export_raw(ts, tmp_path / "c.f32", tmp_path / "c.csv")
-    result, _ = cpa_attack(import_raw(tmp_path / "c.f32", tmp_path / "c.csv"), 0)
+    result = cpa_attack(import_raw(tmp_path / "c.f32", tmp_path / "c.csv"), 0)
     assert result.correct_guess is None and result.correct_rank is None
 
 
@@ -213,9 +211,9 @@ def test_batched_evolution_equals_accumulator_loop(n, samples, stride, sigma, ba
     config = LeakageConfig.equal_weights(1.0, baseline=baseline, noise_sigma=sigma,
                                          samples_per_trace=samples, poi_index=samples // 2)
     ts = simulate_campaign(KEY, n, config, seed=n)
-    _, evolution = cpa_attack(ts, 5, stride)
+    evolution = cpa_attack(ts, 5, stride).evolution
     expected = reference_evolution(ts, 5, checkpoint_schedule(n, stride))
-    assert evolution.values.tobytes() == expected.tobytes()
+    assert evolution.tobytes() == expected.tobytes()
 
 
 def test_campaigns_sharing_ciphertexts_share_x_sums():
@@ -223,11 +221,11 @@ def test_campaigns_sharing_ciphertexts_share_x_sums():
     config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=2)
     augmentations = [Augmentation(0, 2, 0.0), Augmentation(0, 5, 6.0), None]
     grid = list(simulate_offset_grid(KEY, 2501, config, 8, augmentations))
-    evolutions = [evolution for _, evolution in cpa_attack_sets(grid, 0, 100)]
+    evolutions = [result.evolution for result in cpa_attack_sets(grid, 0, 100)]
     assert len(evolutions) == len(grid)
     for traces, evolution in zip(grid, evolutions):
         expected = reference_evolution(traces, 0, checkpoint_schedule(2501, 100))
-        assert evolution.values.tobytes() == expected.tobytes()
+        assert evolution.tobytes() == expected.tobytes()
 
 
 def test_lockstep_groups_keep_each_evolution_and_the_error_contract(monkeypatch):
@@ -244,41 +242,85 @@ def test_lockstep_groups_keep_each_evolution_and_the_error_contract(monkeypatch)
     assert [len(group) for _, group in cpa._groups(grid, 100, True)] == [2, 2, 1]
     attacks = list(cpa_attack_sets(grid, 0, 100))
     assert len(attacks) == len(grid)
-    for traces, (_, evolution) in zip(grid, attacks):
+    for traces, result in zip(grid, attacks):
         expected = reference_evolution(traces, 0, checkpoints)
-        assert evolution.values.tobytes() == expected.tobytes()
-    # A set with other ciphertexts or another true key, starting a group or
-    # inside one: the sets before it are walked and yielded, then the error is raised.
+        assert result.evolution.tobytes() == expected.tobytes()
+    # A set with other ciphertexts or another true key, starting the second
+    # group or inside it: the first group is walked and yielded, then the error
+    # is raised, and no set of the second group is yielded.
     other = simulate_campaign(KEY, 2050, config, seed=10)
     odd = ((other, KEY), (grid[0], "00" * 16))   # (ciphertexts from, true key)
     for bad, (cts_from, true_key) in itertools.product((2, 3), odd):
         sets = list(grid)
         sets[bad] = TraceSet(grid[bad].samples, cts_from.plaintexts, cts_from.ciphertexts, true_key)
         attacks = cpa_attack_sets(sets, 0, 100)
-        for traces in sets[:bad]:
-            _, evolution = next(attacks)
+        for traces in sets[:2]:
             expected = reference_evolution(traces, 0, checkpoints)
-            assert evolution.values.tobytes() == expected.tobytes()
+            assert next(attacks).evolution.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="share their ciphertexts, sample count and true key"):
             next(attacks)
 
 
-def test_a_set_with_another_sample_count_is_refused():
-    # Sets sharing ciphertexts with S = 1, 1, 3 are not one campaign: the two
-    # S = 1 sets are walked and yielded, each with the scores and evolution it
-    # has on its own, then the S = 3 set raises, with or without evolutions.
+def _hypothesis_rows(monkeypatch):
+    """The row counts of every ``aes.hypothesis_matrix`` call from now on."""
+    rows, real = [], aes.hypothesis_matrix
+    monkeypatch.setattr(aes, "hypothesis_matrix",
+                        lambda cts, *args: rows.append(len(cts)) or real(cts, *args))
+    return rows
+
+
+@pytest.mark.parametrize("evolutions", [True, False])
+def test_a_stranger_is_refused_before_its_group_is_walked(monkeypatch, evolutions):
+    # Budgets of five S=1 sets a group: a set with other ciphertexts at
+    # position 3 of the first group, or of the second, raises as it is taken.
+    # The groups before it are yielded; no hypothesis row of its own group is built.
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0)
+    grid = list(simulate_offset_grid(KEY, 1050, config, 14,
+                                     [Augmentation(0, 2, offset) for offset in range(10)]))
+    checkpoints = checkpoint_schedule(1050, 100)
+    held = 256 * len(checkpoints) if evolutions else 1050   # one set's, in the group budget
+    monkeypatch.setattr(cpa, "_GROUP_ELEMENTS", 5 * held)
+    assert [len(group) for _, group in cpa._groups(grid, 100, evolutions)] == [5, 5]
+    other = simulate_campaign(KEY, 1050, config, seed=15)
+    rows = _hypothesis_rows(monkeypatch)
+    for bad in (3, 8):
+        sets = list(grid)
+        sets[bad] = other
+        attacks = cpa_attack_sets(sets, 0, 100, evolutions)
+        for traces in sets[:bad - 3]:
+            result = next(attacks)
+            assert result.scores.tobytes() == np.abs(
+                reference_evolution(traces, 0, checkpoints)[:, -1]).tobytes()
+        rows.clear()
+        with pytest.raises(ValueError, match="share their ciphertexts, sample count and true key"):
+            next(attacks)
+        assert rows == []
+
+
+def test_a_set_with_another_sample_count_is_refused(monkeypatch):
+    # Sets sharing ciphertexts with S = 1, 1, 3 are not one campaign.  As
+    # one group, the S = 3 set raises as it is taken, before any hypothesis
+    # row is built; one set a group, the two S = 1 sets are walked and yielded
+    # first, each with the scores and evolution it has on its own.
     config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=3, poi_index=1)
     ts = simulate_campaign(KEY, 1250, config, seed=13)
     sets = [TraceSet(ts.samples[:, columns], ts.plaintexts, ts.ciphertexts)
             for columns in ([1], [0], [0, 1, 2])]
+    rows = _hypothesis_rows(monkeypatch)
     for evolutions in (True, False):
+        with pytest.raises(ValueError, match="must share their ciphertexts, sample count"):
+            next(cpa_attack_sets(sets, 0, 100, evolutions))
+        assert rows == []
+    checkpoints = checkpoint_schedule(1250, 100)
+    for evolutions in (True, False):
+        monkeypatch.setattr(cpa, "_GROUP_ELEMENTS", 256 * len(checkpoints) if evolutions else 1250)
         attacks = cpa_attack_sets(sets, 0, 100, evolutions)
         for traces in sets[:2]:
-            result, evolution = next(attacks)
-            expected = reference_evolution(traces, 0, checkpoint_schedule(1250, 100))
+            result = next(attacks)
+            expected = reference_evolution(traces, 0, checkpoints)
             assert result.scores.tobytes() == np.abs(expected[:, -1]).tobytes()
             if evolutions:
-                assert evolution.values.tobytes() == expected.tobytes()
+                assert result.evolution.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="must share their ciphertexts, sample count"):
             next(attacks)
 
@@ -290,15 +332,12 @@ def test_block_hypothesis_rows_stay_within_the_budget(monkeypatch):
     # checkpoints' rows gives blocks of 3, and every evolution keeps its bytes.
     config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=3, poi_index=1)
     grid = list(simulate_offset_grid(KEY, 5050, config, 11, [None, Augmentation(0, 2, 6.0)]))
-    rows, hypothesis_matrix = [], aes.hypothesis_matrix
-    monkeypatch.setattr(aes, "hypothesis_matrix",
-                        lambda cts, byte_index: rows.append(len(cts)) or hypothesis_matrix(
-                            cts, byte_index))
-    walks = [[evolution.values for _, evolution in cpa_attack_sets(grid, 0, 100)]]
+    rows = _hypothesis_rows(monkeypatch)
+    walks = [[result.evolution for result in cpa_attack_sets(grid, 0, 100)]]
     assert rows == [2000, 2000, 1050]
     rows.clear()
     monkeypatch.setattr(cpa, "_BLOCK_ELEMENTS", 32 * 100 * 3)
-    walks.append([evolution.values for _, evolution in cpa_attack_sets(grid, 0, 100)])
+    walks.append([result.evolution for result in cpa_attack_sets(grid, 0, 100)])
     assert rows == [300] * 16 + [250]
     for traces, values, capped in zip(grid, *walks):
         expected = reference_evolution(traces, 0, checkpoint_schedule(5050, 100))
@@ -306,7 +345,7 @@ def test_block_hypothesis_rows_stay_within_the_budget(monkeypatch):
 
 
 def test_attack_sets_reject_an_empty_first_set_and_other_ciphertexts():
-    # with and without evolutions
+    # with and without evolutions; the two sets are one group, so nothing is yielded
     empty = TraceSet(np.zeros((0, 1)), np.zeros((0, 16)), np.zeros((0, 16)))
     config = LeakageConfig.equal_weights(1.0, noise_sigma=1.0)
     first = simulate_campaign(KEY, 500, config, seed=1)
@@ -316,23 +355,26 @@ def test_attack_sets_reject_an_empty_first_set_and_other_ciphertexts():
         for other in (simulate_campaign(KEY, 500, config, seed=2),    # other plaintexts
                       simulate_campaign(KEY, 400, config, seed=1),    # fewer traces
                       empty):
-            attacks = cpa_attack_sets([first, other], 0, evolutions=evolutions)
-            next(attacks)
             with pytest.raises(ValueError, match="must share their ciphertexts"):
-                next(attacks)
+                next(cpa_attack_sets([first, other], 0, evolutions=evolutions))
 
 
 def _attack_both_ways(trace_sets, stride):
-    """Each set's ``(result, evolution)`` from a walk that keeps evolutions,
-    whose disclosure must be reference_disclosure's on the evolution, and
-    from which a walk that keeps none may differ only by yielding None."""
+    """Each set's result from a walk that keeps evolutions, whose evolution
+    must be reference_evolution's and whose disclosure reference_disclosure's
+    on it, and from which a walk that keeps none may differ only by holding
+    evolution None."""
     kept = list(cpa_attack_sets(trace_sets, 0, stride))
     bare = list(cpa_attack_sets(trace_sets, 0, stride, evolutions=False))
     assert len(kept) == len(bare) == len(trace_sets)
-    for (result, evolution), (other, none) in zip(kept, bare):
-        assert none is None
+    for traces, result, other in zip(trace_sets, kept, bare):
+        assert result.evolution is not None and other.evolution is None
+        checkpoints = checkpoint_schedule(len(traces), stride)
+        expected = reference_evolution(traces, 0, checkpoints)
+        assert result.evolution.tobytes() == expected.tobytes()
         if result.correct_guess is not None:
-            assert result.disclosure == reference_disclosure(evolution, result.correct_guess)
+            assert result.disclosure == reference_disclosure(checkpoints, result.evolution,
+                                                             result.correct_guess)
         assert other.scores.tobytes() == result.scores.tobytes()
         assert np.array_equal(other.ranking, result.ranking)
         assert (other.best_guess, other.disclosure, other.correct_guess, other.correct_rank) == (
@@ -365,14 +407,13 @@ def test_walk_disclosure_covers_first_late_tied_and_no_leads():
         samples[:count] = 0.0
         return TraceSet(samples, quiet.plaintexts, quiet.ciphertexts, true_key=quiet.true_key)
     sets = [quiet, noisy, defeated, zeroed(300)]
-    disclosures = [result.disclosure for result, _ in _attack_both_ways(sets, 100)]
+    disclosures = [result.disclosure for result in _attack_both_ways(sets, 100)]
     assert disclosures == [100, 300, None, 500]
     for traces, disclosure in zip(sets, disclosures):   # each alone
-        assert [result.disclosure for result, _ in _attack_both_ways([traces], 100)] == [
-            disclosure]
+        assert [result.disclosure for result in _attack_both_ways([traces], 100)] == [disclosure]
     # A tie followed directly by a lead: zeroed over its first 500 traces and
     # walked at stride 500, the quiet set ties at 500 and leads from 1000 on.
-    assert [result.disclosure for result, _ in _attack_both_ways([zeroed(500)], 500)] == [1000]
+    assert [result.disclosure for result in _attack_both_ways([zeroed(500)], 500)] == [1000]
 
 
 @pytest.mark.parametrize("evolutions", [True, False])
@@ -395,11 +436,11 @@ def test_r_of_every_block_is_checked(monkeypatch, evolutions):
 def test_attack_is_invariant_under_trace_permutation():
     config = LeakageConfig.equal_weights(1.0, noise_sigma=2.0)
     ts = simulate_campaign(KEY, 3000, config, seed=3)
-    base, _ = cpa_attack(ts, 0, checkpoint_stride=500)
+    base = cpa_attack(ts, 0, checkpoint_stride=500)
     perm = np.random.default_rng(4).permutation(len(ts))
     shuffled = TraceSet(ts.samples[perm], ts.plaintexts[perm], ts.ciphertexts[perm],
                         true_key=ts.true_key, seed=ts.seed)
-    again, _ = cpa_attack(shuffled, 0, checkpoint_stride=500)
+    again = cpa_attack(shuffled, 0, checkpoint_stride=500)
     assert np.array_equal(base.ranking, again.ranking)
     assert np.allclose(base.scores, again.scores, atol=1e-12)
 
@@ -407,8 +448,9 @@ def test_attack_is_invariant_under_trace_permutation():
 def test_attack_reports_disclosure_for_simulated_sets():
     config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0)
     ts = simulate_campaign(KEY, 3000, config, seed=1)
-    result, evolution = cpa_attack(ts, 0)
-    assert result.disclosure == reference_disclosure(evolution, CORRECT_BYTE0)
+    result = cpa_attack(ts, 0)
+    assert result.disclosure == reference_disclosure(checkpoint_schedule(3000, 100),
+                                                     result.evolution, CORRECT_BYTE0)
     assert result.disclosure is not None
 
 
@@ -429,7 +471,7 @@ def test_max_over_samples_scoring():
     config = LeakageConfig.equal_weights(1.0, noise_sigma=0.5,
                                          samples_per_trace=3, poi_index=1)
     ts = simulate_campaign(KEY, 2000, config, seed=6)
-    result, _ = cpa_attack(ts, 0, checkpoint_stride=2000)
+    result = cpa_attack(ts, 0, checkpoint_stride=2000)
     assert result.best_guess == CORRECT_BYTE0
 
 
@@ -440,7 +482,7 @@ def test_sufficient_offset_defeats_the_attack():
     config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0)
     for seed in (1, 2, 3):
         ts = simulate_campaign(KEY, 30_000, config, seed=seed, augmentation=aug)
-        result, _ = cpa_attack(ts, 0)
+        result = cpa_attack(ts, 0)
         assert result.disclosure is None
         assert rank_of_guess(result, CORRECT_BYTE0) > 1
 
@@ -468,8 +510,7 @@ def _screened_and_declined(monkeypatch, trace_sets, stride):
     for decline in (False, True):
         with monkeypatch.context() as patch:
             calls = _peak_r_calls(patch, decline)
-            walks.append([evolution.values for _, evolution in cpa_attack_sets(trace_sets, 0,
-                                                                                 stride)])
+            walks.append([result.evolution for result in cpa_attack_sets(trace_sets, 0, stride)])
             walks.append(calls["full"])
     screened, declined_blocks, declined, blocks = walks
     return screened, declined, declined_blocks, blocks

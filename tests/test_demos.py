@@ -34,7 +34,7 @@ def test_readme_library_tour_runs():
     exec(compile(tour.group(1), "README.md", "exec"), namespace)
     sk = namespace["sk"]
     # as the tour's comment says, the protected campaign never settles
-    assert sk.cpa_attack(namespace["protected"], 0)[0].disclosure is None
+    assert sk.cpa_attack(namespace["protected"], 0).disclosure is None
 
 
 def test_package_stays_under_the_line_gate():

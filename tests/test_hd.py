@@ -231,7 +231,7 @@ def test_attack_offset_grid_equals_per_set_calls():
     attacks = list(attack_offset_grid(grid, 5, checkpoint_stride=250, sample_index=1))
     assert len(attacks) == len(grid)
     for traces, (result, horses) in zip(grid, attacks):
-        expected, _ = cpa_attack(traces, 5, 250)
+        expected = cpa_attack(traces, 5, 250)
         assert result.scores.tobytes() == expected.scores.tobytes()
         assert np.array_equal(result.ranking, expected.ranking)
         assert (result.disclosure, result.correct_rank) == (expected.disclosure,
@@ -290,19 +290,21 @@ def test_a_fine_grid_walks_as_one_group_holding_no_evolution(monkeypatch):
 def test_attack_offset_grid_rejects_sets_with_other_ciphertexts(monkeypatch):
     config = LeakageConfig.equal_weights(1.0, noise_sigma=1.0)
     first = simulate_campaign(KEY, 500, config, seed=1)
-    for other in (simulate_campaign(KEY, 500, config, seed=2),    # other plaintexts
-                  simulate_campaign(KEY, 400, config, seed=1)):   # fewer traces
-        attacks = attack_offset_grid([first, other], 0)
-        next(attacks)
-        with pytest.raises(ValueError, match="must share their ciphertexts"):
-            next(attacks)
-    # the wrong horses need the campaign's true key: a keyless grid is refused
-    # as its first set is taken, before any hypothesis row is built
-    keyless = TraceSet(first.samples, first.plaintexts, first.ciphertexts)
+    # a set of another campaign, a set without the campaign's true key (which
+    # the wrong horses need) and a sample the sets do not have are each refused
+    # as the set is taken, before any hypothesis row is built
     calls, real = [], aes.hypothesis_matrix
     monkeypatch.setattr(aes, "hypothesis_matrix", lambda *args: calls.append(1) or real(*args))
+    for other in (simulate_campaign(KEY, 500, config, seed=2),    # other plaintexts
+                  simulate_campaign(KEY, 400, config, seed=1)):   # fewer traces
+        with pytest.raises(ValueError, match="must share their ciphertexts"):
+            next(attack_offset_grid([first, other], 0))
+    keyless = TraceSet(first.samples, first.plaintexts, first.ciphertexts)
     with pytest.raises(ValueError, match="must carry their true key"):
         next(attack_offset_grid([keyless, keyless], 0))
+    for sample_index in (1, -1):
+        with pytest.raises(ValueError, match=f"sample_index {sample_index} outside 0..0"):
+            next(attack_offset_grid([first, first], 0, sample_index=sample_index))
     assert calls == []
     # the correct guess is no parameter, and the stride and sample are keywords
     with pytest.raises(TypeError):
