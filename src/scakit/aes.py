@@ -42,10 +42,6 @@ SR_INVERSE[SR_FORWARD] = np.arange(16)
 
 HW_TABLE = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
-# GF(2^8) doubling modulo the AES polynomial x^8 + x^4 + x^3 + x + 1.
-XTIME = np.array([((v << 1) ^ (0x1B if v & 0x80 else 0)) & 0xFF for v in range(256)],
-                 dtype=np.uint8)
-
 # PRIOR[c, g] is the state byte before the final round under key guess g,
 # given ciphertext byte c at the post-ShiftRows position.
 PRIOR = INV_SBOX[np.bitwise_xor.outer(np.arange(256), np.arange(256))]
@@ -121,7 +117,8 @@ def _mix_columns(planes):
     """MixColumns on (16, n) byte planes: s[i] ^ t ^ xtime(s[i] ^ s[i+1 mod 4]), t = XOR of s."""
     cols = planes.reshape(4, 4, -1)   # (column, row in the column, block)
     t = np.bitwise_xor.reduce(cols, axis=1, keepdims=True)
-    return (cols ^ t ^ XTIME.take(cols ^ cols[:, [1, 2, 3, 0]])).reshape(16, -1)
+    a = cols ^ cols[:, [1, 2, 3, 0]]   # xtime(a): a doubled modulo x^8 + x^4 + x^3 + x + 1
+    return (cols ^ t ^ (a << 1) ^ ((a >> 7) * 0x1B)).reshape(16, -1)
 
 
 def _encrypt_states(round_keys, states):

@@ -44,30 +44,15 @@ def pearson(xs, ys) -> float:
     return math.fsum(x * y) / math.sqrt(vx * vy)
 
 
-def _add_samples(carry, y, stride, out, yy):
-    """Running sums ``out = (sum_y, sum_yy, sum_xy)`` at the end of each
-    ``stride``-row segment of the batch ``y`` (group, m, S), the last maybe
-    shorter, on a segment axis in place of y's row axis: ``carry`` plus the
-    segments in order; ``sum_xy`` comes in holding each segment's x.T @ y."""
-    full = y.shape[1] // stride
-    for part, dest in zip((y, np.multiply(y, y, out=yy)), out):
-        part[:, :full * stride].reshape(len(y), full, stride, y.shape[2]).sum(
-            axis=2, out=dest[:, :full])
-        if full < dest.shape[1]:
-            part[:, full * stride:].sum(axis=1, out=dest[:, full])
-    for total, dest in zip(carry, out):
-        np.add(total, dest[:, 0], out=dest[:, 0])
-        if dest.shape[1] > 1:
-            np.cumsum(dest, axis=1, out=dest)
-
-
 def _moments(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out=None):
-    """cov (into ``out``, if given), var_x and var_y, elementwise, as :func:`_correlations`."""
+    """cov (into ``out``, if given), var_x and var_y, elementwise, as :func:`_correlations`;
+    the variances broadcast to cov: var_x along its guess axis, var_y along its samples."""
     n = n[..., None]
     cov = np.multiply(sum_x[..., :, None], sum_y[..., None, :], out=out)
     np.divide(cov, n[..., None], out=cov)
     np.subtract(sum_xy, cov, out=cov)
-    return cov, np.maximum(sum_xx - sum_x ** 2 / n, 0.0), np.maximum(sum_yy - sum_y ** 2 / n, 0.0)
+    var_x = np.maximum(sum_xx - sum_x ** 2 / n, 0.0)[..., :, None]
+    return cov, var_x, np.maximum(sum_yy - sum_y ** 2 / n, 0.0)[..., None, :]
 
 
 def _correlations(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out=None, scratch=None):
@@ -76,10 +61,15 @@ def _correlations(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out=None, scratch=Non
     ``sum_y``/``sum_yy`` a sample axis and ``sum_xy`` both.  Every step
     is elementwise, so a batch gives the same bits as one call per item.
     ``out`` and ``scratch``, if given, are ``sum_xy``-shaped buffers."""
-    cov, var_x, var_y = _moments(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out)
-    denom = np.multiply(var_x[..., :, None], var_y[..., None, :], out=scratch)
+    return _cov_to_r(*_moments(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out), scratch)
+
+
+def _cov_to_r(cov, var_x, var_y, scratch=None):
+    """r = cov / sqrt(var_x * var_y) in place in ``cov``, the variances broadcast to its
+    shape, 0 where either is 0; ``scratch``, if given, is a ``cov``-shaped buffer."""
+    denom = np.multiply(var_x, var_y, out=scratch)
     np.sqrt(denom, out=denom)
-    zero = denom == 0   # zero variance on either side gives r = 0
+    zero = denom == 0
     cov[zero] = 0.0
     denom[zero] = 1.0
     return np.divide(cov, denom, out=cov)
@@ -87,31 +77,30 @@ def _correlations(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out=None, scratch=Non
 
 def _peak_r(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out, scratch):
     """r at each guess's sample of largest |r|, (..., 256, 1), bit for bit as
-    :func:`_correlations` and an argmax of its |r| give it.  var_x is constant
-    along a guess's row, so ``q = |cov| * (1 / sqrt(var_y))`` orders the samples
-    as |r| does to within about 12 ulp while all values are normal floats; a top
-    q that clears the runner-up by a relative 1e-12 is r's peak, and r is then
-    computed there alone.  A sample of zero variance has r = 0 for every guess, so
-    it is screened as q = 0 and left out of the guard on the variance products.
-    Where a guard fails, the whole r serves the block."""
+    :func:`_correlations` and an argmax of its |r| give it, from one :func:`_moments`
+    pass that leaves cov in ``out``.  var_x is constant along a guess's row, so
+    ``q = |cov| * (1 / sqrt(var_y))``, made in ``scratch``, orders the samples as |r|
+    does to within about 12 ulp while all values are normal floats; a top q that
+    clears the runner-up by a relative 1e-12 is r's peak, and r is taken from cov
+    there alone.  A sample of zero variance has r = 0 for every guess, so it is
+    screened as q = 0 and left out of the guard on the variance products.  Where a
+    guard fails, r is taken from the whole cov."""
     cov, var_x, var_y = _moments(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out)
     tiny, live = np.finfo(np.float64).tiny, var_y > 0
     with np.errstate(all="ignore"):   # the guards below catch each 0, inf or NaN made here
-        low = var_x.min(-1) * np.where(live, var_y, np.inf).min(-1)
-        high = var_x.max(-1) * var_y.max(-1)
+        low = var_x.min(-2) * np.where(live, var_y, np.inf).min(-1)
+        high = var_x.max(-2) * var_y.max(-1)
         scale = np.divide(1, np.sqrt(var_y), out=np.zeros_like(var_y), where=live)
-        q = np.multiply(np.abs(cov, out=cov), scale[..., None, :], out=cov)
+        q = np.multiply(np.abs(cov, out=scratch), scale, out=scratch)
     at = q.argmax(-1)[..., None]
     top = np.take_along_axis(q, at, -1)
     np.put_along_axis(q, at, 0.0, -1)
     if (tiny <= low.min() and high.max() < np.inf and tiny <= top.min() and top.max() < np.inf
             and np.all(q.max(-1, keepdims=True) < top * (1 - 1e-12))):
-        r = _correlations(n[..., None], sum_x[..., None], sum_xx[..., None],
-                          *(np.take_along_axis(s[..., None, :], at, -1) for s in (sum_y, sum_yy)),
-                          np.take_along_axis(sum_xy, at, -1)[..., None])[..., 0]
+        r = _cov_to_r(np.take_along_axis(cov, at, -1), var_x, np.take_along_axis(var_y, at, -1))
         if tiny <= np.abs(r).min():
             return r
-    r = _correlations(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out, scratch)
+    r = _cov_to_r(cov, var_x, var_y, scratch)
     return np.take_along_axis(r, np.abs(r, out=scratch).argmax(-1)[..., None], -1)
 
 
@@ -174,9 +163,9 @@ def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE,
     A group of sets (:func:`_groups`) is walked in lock-step.  Per block of
     checkpoints the hypothesis segment is built from the ciphertexts and, at
     each checkpoint, widened once into the float64 buffer ``x`` for every
-    set's ``x.T @ y``; :func:`_add_samples` folds the block into running sums
-    and r comes from them for the whole group at once.  The x-side sums are
-    taken from ``x``, exactly, as x is 0..8."""
+    set's ``x.T @ y``.  Each running sum at a checkpoint is the one before plus
+    the segment's (row -1 of a block is the block before's last row), and r comes
+    from them for the whole group at once.  The x-side sums are exact: x is 0..8."""
     for checkpoints, group in _groups(trace_sets, checkpoint_stride, evolutions):
         cts, n_samples, key = group[0].ciphertexts, group[0].samples_per_trace, group[0].true_key
         starts = [0, *checkpoints]
@@ -184,40 +173,42 @@ def cpa_attack_sets(trace_sets, byte_index, checkpoint_stride=CHECKPOINT_STRIDE,
             256 * n_samples * len(group), 256 * checkpoint_stride // 8)))
         guess = None if key is None else aes.correct_last_round_guess(key, byte_index)
         lost = np.full(len(group), -1)   # per set, the last checkpoint not led by the guess
-        # (sum_x, sum_xx); (sum_y, sum_yy) and sum_xy per block parity, the other parity's xy is r
-        x_sums, sums = np.zeros((2, block, 256)), np.zeros((2, 2, len(group), block, n_samples))
-        xy = np.zeros((2, len(group), block, 256, n_samples))
-        x, scratch = np.empty((min(checkpoint_stride, len(cts)), 256)), np.empty_like(xy[0])
-        y, yy = np.empty((2, len(group), min(block * checkpoint_stride, len(cts)), n_samples))
-        values = np.empty((len(group), 256, len(checkpoints))) if evolutions else None
+        # running (sum_x, sum_xx), (sum_y, sum_yy) and sum_xy, a row per checkpoint of a block
+        x_sums, y_sums = np.zeros((2, block, 256)), np.zeros((2, len(group), block, n_samples))
+        xy = np.zeros((len(group), block, 256, n_samples))
+        cov, scratch = np.empty((2, *xy.shape))   # scratch first takes each x.T @ y
+        x = np.empty((min(checkpoint_stride, len(cts)), 256))
+        y = np.empty((2, len(group), min(block * checkpoint_stride, len(cts)), n_samples))
+        values = [np.empty((256, len(checkpoints))) for _ in group] if evolutions else []
         for i in range(0, len(checkpoints), block):
-            done, p, lo = slice(i, min(i + block, len(checkpoints))), i // block % 2, starts[i]
+            done, lo = slice(i, min(i + block, len(checkpoints))), starts[i]
             k, hi = done.stop - i, checkpoints[done.stop - 1]
             hyp = aes.hypothesis_matrix(cts[lo:hi], byte_index)
             for g, traces in enumerate(group):
-                y[g, :hi - lo] = traces.samples[lo:hi]
-            out = (*sums[p][:, :, :k], xy[p][:, :k])
+                y[0, g, :hi - lo] = traces.samples[lo:hi]
+            np.multiply(y[0, :, :hi - lo], y[0, :, :hi - lo], out=y[1, :, :hi - lo])   # y * y
             for slot, (start, count) in enumerate(zip(starts[done], checkpoints[done])):
                 seg = x[:count - start]
                 seg[:] = hyp[start - lo:count - lo]
-                np.matmul(seg.T, y[:, start - lo:count - lo], out=out[2][:, slot])
+                rows = y[:, :, start - lo:count - lo]
+                np.matmul(seg.T, rows[0], out=scratch[:, slot])
                 parts = seg.sum(axis=0), np.einsum("ij,ij->j", seg, seg)
-                np.add(x_sums[:, slot - 1], parts, out=x_sums[:, slot])   # row -1: the block before
-            carry = (*sums[1 - p][:, :, -1], xy[1 - p][:, -1])   # the block before's last sums
-            _add_samples(carry, y[:, :hi - lo], checkpoint_stride, out, yy[:, :hi - lo])
+                np.add(x_sums[:, slot - 1], parts, out=x_sums[:, slot])
+                np.add(y_sums[:, :, slot - 1], rows.sum(axis=2), out=y_sums[:, :, slot])
+                np.add(xy[:, slot - 1], scratch[:, slot], out=xy[:, slot])
             r = (_peak_r if n_samples > 1 else _correlations)(
-                np.array(checkpoints[done], float), *x_sums[:, :k], *out, xy[1 - p][:, :k],
-                scratch[:, :k])[..., 0]   # (set, checkpoint, guess)
+                np.array(checkpoints[done], float), *x_sums[:, :k], *y_sums[:, :, :k], xy[:, :k],
+                cov[:, :k], scratch[:, :k])[..., 0]   # (set, checkpoint, guess)
             abs_r = np.abs(r)
             if not np.all(abs_r <= 1.0 + 1e-9):   # to within rounding; NaN fails this too
                 raise ValueError("correlation values outside [-1, 1]")
             if guess is not None:
                 last = _last_loss(abs_r, guess)
                 lost = np.where(last < 0, lost, i + last)
-            if evolutions:
-                values[..., done] = r.swapaxes(1, 2)
+            for evolution, r_set in zip(values, r):   # none without evolutions
+                evolution[:, done] = r_set.T
         final = abs_r[:, -1].copy()   # the scores
-        del xy, scratch, x, y, yy, hyp, out, carry, r, abs_r   # not held while the caller works
+        del xy, cov, scratch, x, y, rows, hyp, r, abs_r   # not held while the caller works
         for g, (scores, first) in enumerate(zip(final, lost + 1)):
             if not scores.any():
                 raise ValueError("every key guess scores 0, so no key can be ranked: the attack "

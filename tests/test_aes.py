@@ -195,8 +195,14 @@ def gf_mul(a, b):
 def test_xtime_table_doubles_in_gf256():
     # FIPS-197 section 4.2.1: {57} doubled repeatedly
     assert [gf_mul(v, 2) for v in (0x57, 0xAE, 0x47, 0x8E)] == [0xAE, 0x47, 0x8E, 0x07]
-    assert aes.XTIME.dtype == np.uint8
-    assert aes.XTIME.tolist() == [gf_mul(v, 2) for v in range(256)]
+    # MixColumns takes the column (v, 0, 0, 0) to (2v, v, v, 3v), so its doubling
+    # shows in rows 0 and 3 of the first column, for every byte v
+    planes = np.zeros((16, 256), np.uint8)
+    planes[0] = np.arange(256)
+    mixed = aes._mix_columns(planes)
+    assert mixed.dtype == np.uint8
+    assert mixed[:4].tolist() == [[gf_mul(v, m) for v in range(256)] for m in (2, 1, 1, 3)]
+    assert not mixed[4:].any()
 
 
 def test_hypothetical_power_mean_near_four():

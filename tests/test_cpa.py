@@ -488,18 +488,19 @@ def test_sufficient_offset_defeats_the_attack():
 
 
 def _peak_r_calls(monkeypatch, decline=False):
-    """Count the _correlations calls of the walk: "screened" computes r at the
-    screen's sample alone, "full" the whole r of a block the screen declined.
-    With ``decline``, r at the screen's sample reads 0, below the smallest
-    normal |r| the screen accepts, so the screen declines every block."""
-    calls, real = {"screened": 0, "full": 0}, cpa._correlations
+    """Count the walk's divisions of cov into r (``cpa._cov_to_r``): "screened"
+    divides at the screen's sample alone, one sample per guess, "full" the whole
+    cov of a block the screen declined.  With ``decline``, r at the screen's
+    sample reads 0, below the smallest normal |r| the screen accepts, so the
+    screen declines every block."""
+    calls, real = {"screened": 0, "full": 0}, cpa._cov_to_r
 
-    def correlations(*args, **kwargs):
+    def cov_to_r(*args, **kwargs):
         r = real(*args, **kwargs)
-        screened = r.shape[-2:] == (1, 1)
+        screened = r.shape[-1] == 1
         calls["screened" if screened else "full"] += 1
         return np.zeros_like(r) if screened and decline else r
-    monkeypatch.setattr(cpa, "_correlations", correlations)
+    monkeypatch.setattr(cpa, "_cov_to_r", cov_to_r)
     return calls
 
 
@@ -554,6 +555,36 @@ def test_screen_serves_groups_and_declines_ties_constants_and_one_trace(monkeypa
             monkeypatch, [traces], stride)
         assert screened[0].tobytes() == declined[0].tobytes()
         assert declined_blocks == (blocks if expected == "all" else expected) and blocks > 1
+
+
+@pytest.mark.parametrize("decline", [False, True])
+def test_one_moments_pass_serves_each_block(monkeypatch, decline):
+    # 3000 S=6 traces at stride 100 walk in blocks of 20 and 10 checkpoints.
+    # Each block's one _moments pass serves the screen, r at the screen's
+    # sample and, where the screen declines, the whole r.
+    calls, real = [], cpa._moments
+
+    def moments(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cpa, "_moments", moments)
+    divisions = _peak_r_calls(monkeypatch, decline)
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0, samples_per_trace=6, poi_index=2)
+    next(cpa_attack_sets([simulate_campaign(KEY, 3000, config, 12)], 0, 100))
+    assert calls == [(20,), (10,)]
+    assert divisions == {"screened": 2, "full": 2 if decline else 0}
+
+
+def test_each_kept_evolution_is_its_own_array():
+    # A 4-set grid walks as one group; a caller that keeps one result keeps
+    # only its own (256, checkpoints) r, not a view of the group's.
+    config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0)
+    augmentations = [None, Augmentation(0, 2, 6.0), Augmentation(0, 5, 2.0),
+                     Augmentation(0, 2, 2.0)]
+    grid = list(simulate_offset_grid(KEY, 3000, config, 1, augmentations))
+    results = list(cpa_attack_sets(grid, 0, 100))
+    assert [result.evolution.shape for result in results] == [(256, 30)] * 4
+    assert all(result.evolution.base is None for result in results)
 
 
 def test_screen_declines_a_subnormal_variance_product():
