@@ -16,7 +16,6 @@ from .aes import (
     hypothesis_matrix,
     invert_key_schedule,
     last_round_key,
-    last_round_states_batch,
 )
 from .cpa import (
     AttackResult,

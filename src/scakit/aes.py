@@ -1,10 +1,10 @@
 """AES-128 reference cipher exposing the last-round intermediates.
 
 Blocks are flat arrays of 16 bytes in FIPS-197 wire order: byte ``i``
-sits at row ``i % 4``, column ``i // 4`` of the state matrix.  On top of
-plain encryption this module exposes the value held by the state
-register just before the final-round overwrite, the ShiftRows byte
-permutation, and the Hamming-distance hypotheses of the CPA attack.
+sits at row ``i % 4``, column ``i // 4`` of the state matrix.  The batch
+cipher the simulator runs returns the state register's value just before
+the final-round overwrite with the ciphertext; the module also exposes the
+ShiftRows byte permutation and the Hamming-distance hypotheses of CPA.
 """
 
 import numpy as np
@@ -39,8 +39,6 @@ RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 SR_FORWARD = np.array([0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3])
 SR_INVERSE = np.empty_like(SR_FORWARD)
 SR_INVERSE[SR_FORWARD] = np.arange(16)
-
-HW_TABLE = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 # PRIOR[c, g] is the state byte before the final round under key guess g,
 # given ciphertext byte c at the post-ShiftRows position.
@@ -130,13 +128,6 @@ def _encrypt_states(round_keys, states):
     for r in range(1, 10):
         s = _mix_columns(SBOX.take(s[SR_INVERSE])) ^ keys[r]
     return s.T.copy(), (SBOX.take(s[SR_INVERSE]) ^ keys[10]).T.copy()
-
-
-def last_round_states_batch(key, plaintexts):
-    """State register content before the final-round overwrite, and the
-    ciphertext that overwrites it, for an (n, 16) array of plaintexts.
-    XOR of the two is the true per-bit toggle mask of the overwrite."""
-    return _encrypt_states(expand_key(key), _as_batch(plaintexts))
 
 
 def _as_batch(blocks):

@@ -48,11 +48,19 @@ from .leakage import (Augmentation, LeakageConfig, Trigger, ro_offset_model, sim
                       simulate_offset_grid)
 from .traceio import check_sctr_fields, import_raw, read_sctr, write_sctr
 
+
+def _cipher_key(text):
+    aes.as_block(text)   # refuses what is not 16 bytes; the key stays as given
+    return text
+
+
+_cipher_key.__name__ = "cipher key"   # argparse's error names it
+
 # The campaign parameters: name -> (type, default, help).  The name is
 # the config-file key and, with "-" for "_", the long flag; the type
 # parses both.  Defaults the library's dataclasses also hold are read from them.
 _SIM_PARAMS = {
-    "key": (str, "000102030405060708090a0b0c0d0e0f", "cipher key, 32 hex chars"),
+    "key": (_cipher_key, "000102030405060708090a0b0c0d0e0f", "cipher key, 32 hex chars"),
     "n": (int, 1000, "number of traces"),
     "sigma": (float, LeakageConfig.noise_sigma, "gaussian noise level"),
     "weight": (float, 1.0, "per-bit leakage weight"),
@@ -224,16 +232,12 @@ def cmd_attack(args) -> int:
             _write_csv(args.evolution_csv, "checkpoint,guess,r",
                        (lines.format(count) % row for count, row in zip(checkpoints, zip(*curves))))
 
+    with open(args.report, "w") if args.report else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(_json(report))
+        fh.write("\n")
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.writelines(_json(report))
-            fh.write("\n")
-        brief = {k: report[k] for k in report
-                 if k not in ("ranking", "scores", "evolution", "bytes")}
-        print(json.dumps(brief))
-    else:
-        sys.stdout.writelines(_json(report))
-        print()
+        print(json.dumps({k: report[k] for k in report
+                          if k not in ("ranking", "scores", "evolution", "bytes")}))
     return 0
 
 
@@ -266,8 +270,8 @@ def cmd_fit_hd(args) -> int:
 
     if args.points:
         _write_csv(args.points, "guess,hd,mean,count",
-                   (f"{s.key_guess},{hd},{s.means[hd]:.17g},{s.counts[hd]}"
-                    for s in summaries for hd in np.nonzero(s.present)[0]))
+                   (f"{guess},{hd},{s.means[hd]:.17g},{s.counts[hd]}"
+                    for guess, s in zip(guesses, summaries) for hd in np.nonzero(s.present)[0]))
     if args.fits:
         _write_csv(args.fits, "guess,slope,intercept,r",
                    (f"{guess},{fit.slope:.17g},{fit.intercept:.17g},{fit.r:.17g}"

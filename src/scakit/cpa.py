@@ -130,10 +130,7 @@ def checkpoint_schedule(n_traces, stride):
     single checkpoint at ``n_traces``)."""
     if stride < 1:
         raise ValueError(f"checkpoint stride must be >= 1, got {stride}")
-    points = list(range(stride, n_traces + 1, stride))
-    if not points or points[-1] != n_traces:
-        points.append(n_traces)
-    return points
+    return [*range(stride, n_traces, stride), n_traces]
 
 
 def cpa_attack(traces: TraceSet, byte_index, checkpoint_stride=CHECKPOINT_STRIDE,

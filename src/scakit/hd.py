@@ -40,7 +40,6 @@ class HdClassSummary:
     """Per-HD-class statistics of one sample under one key guess."""
     counts: np.ndarray   # (9,) traces per class
     means: np.ndarray    # (9,) mean leakage, NaN where the class is empty
-    key_guess: int
 
     @property
     def present(self) -> np.ndarray:
@@ -62,12 +61,12 @@ def _sample(traces: TraceSet, sample_index):
     return traces.samples[:, sample_index].astype(np.float64)
 
 
-def _class_summary(classes, y, key_guess) -> HdClassSummary:
+def _class_summary(classes, y) -> HdClassSummary:
     """Count and mean of ``y`` per HD class, ``classes`` holding each trace's class."""
     counts = np.bincount(classes, minlength=9)
     with np.errstate(invalid="ignore"):
         means = np.bincount(classes, weights=y, minlength=9) / counts   # 0/0 -> NaN
-    return HdClassSummary(counts=counts, means=means, key_guess=int(key_guess))
+    return HdClassSummary(counts=counts, means=means)
 
 
 def group_by_hd(traces: TraceSet, key_guess, byte_index, sample_index=0) -> HdClassSummary:
@@ -75,7 +74,7 @@ def group_by_hd(traces: TraceSet, key_guess, byte_index, sample_index=0) -> HdCl
     summarize the chosen sample per class."""
     y = _sample(traces, sample_index)
     classes = aes.hypothesis_matrix(traces.ciphertexts, byte_index, [key_guess])[:, 0]
-    return _class_summary(classes, y, key_guess)
+    return _class_summary(classes, y)
 
 
 def fit_hd_line(summary: HdClassSummary) -> HdFit:
@@ -176,7 +175,7 @@ def _class_sums(table, pair_weights):
 def _exact_abs_r(pairs, y, guess):
     """|r| of :func:`fit_hd_line` for one guess, from its per-trace classes."""
     classes = pairs.table[guess][pairs.inverse]
-    return abs(fit_hd_line(_class_summary(classes, y, guess)).r)
+    return abs(fit_hd_line(_class_summary(classes, y)).r)
 
 
 def _screen(pairs, y):

@@ -90,14 +90,6 @@ class LeakageConfig:
         """Every state bit contributes the same weight."""
         return cls(bit_weights=np.full(128, float(weight)), **kwargs)
 
-    @classmethod
-    def single_byte_weights(cls, byte_index, weight=1.0, **kwargs) -> "LeakageConfig":
-        """Only the eight bits of one state byte leak; everything else
-        is silent.  Useful for exact-oracle checks of the model chain."""
-        weights = np.zeros(128)
-        weights[8 * byte_index:8 * byte_index + 8] = float(weight)
-        return cls(bit_weights=weights, **kwargs)
-
 
 def toggle_bits(round9, ciphertext) -> np.ndarray:
     """Per-bit toggle mask of the overwrite as an (n, 128) 0/1 array,

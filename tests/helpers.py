@@ -1,5 +1,7 @@
-"""Test helpers: the scalar CPA model, an oracle for ``aes.hypothesis_matrix``
-built from ``INV_SBOX`` and ``HW_TABLE`` alone; a reference for the CPA walk's
+"""Test helpers: the tests' own popcount table ``HW``; the simulator's batch
+cipher under a cipher key; a leakage config in which one state byte alone
+leaks; the scalar CPA model, an oracle for ``aes.hypothesis_matrix`` built from
+``INV_SBOX`` and ``HW`` alone; a reference for the CPA walk's
 evolution built from public names alone, and one for its disclosure that is a
 plain loop over an evolution's checkpoints and values; a writer of the raw float32 +
 metadata CSV capture format that ``import_raw`` reads; the traced-memory peak
@@ -15,7 +17,26 @@ from pathlib import Path
 import numpy as np
 
 from scakit import aes, cli
+from scakit.leakage import LeakageConfig
 from scakit.traceio import read_sctr
+
+HW = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
+def encrypt(key, plaintexts):
+    """The simulator's cipher on an (n, 16) batch of plaintexts: the state
+    register's content before the final-round overwrite, and the ciphertext
+    that overwrites it, both (n, 16). XOR of the two is the overwrite's toggles."""
+    return aes._encrypt_states(aes.expand_key(key), aes._as_batch(plaintexts))
+
+
+def single_byte_config(byte_index, weight=1.0, **kwargs) -> LeakageConfig:
+    """A leakage config in which only the eight bits of state byte
+    ``byte_index`` leak, each with ``weight``; every other bit is silent."""
+    aes._check_byte_index(byte_index)
+    weights = np.zeros(128)
+    weights[8 * byte_index:8 * byte_index + 8] = float(weight)
+    return LeakageConfig(bit_weights=weights, **kwargs)
 
 
 def last_round_transitions(ct, key_guess, byte_index) -> int:
@@ -34,7 +55,7 @@ def last_round_transitions(ct, key_guess, byte_index) -> int:
 def hypothetical_power(ct, key_guess, byte_index) -> int:
     """Model value for CPA: Hamming distance of the predicted overwrite,
     i.e. the Hamming weight of :func:`last_round_transitions`."""
-    return int(aes.HW_TABLE[last_round_transitions(ct, key_guess, byte_index)])
+    return int(HW[last_round_transitions(ct, key_guess, byte_index)])
 
 
 def reference_evolution(traces, byte_index, checkpoints):

@@ -8,7 +8,7 @@ offset on bit 2 (0xcc ties it); per-bit weight w = 1.0 and gaussian
 noise sigma = 4w throughout.
 
 ``offset_threshold`` is an exact oracle for the offset countermeasure,
-built from ``aes.INV_SBOX`` and ``aes.HW_TABLE`` alone (nothing from the
+built from ``aes.INV_SBOX`` and the tests' ``HW`` alone (nothing from the
 simulator, the attack or the HD fits).  For state byte 0
 (``SR_FORWARD[0] == 0``) the true toggle byte, the offset bit and all
 256 hypotheses depend only on ciphertext byte 0, which no other leaking
@@ -40,7 +40,7 @@ import scakit as sk
 from scakit import aes, cli
 from scakit.cpa import pearson
 
-from helpers import export_raw, last_round_transitions
+from helpers import HW, encrypt, export_raw, last_round_transitions, single_byte_config
 
 W = 1.0
 SIGMA = 4.0 * W
@@ -51,7 +51,7 @@ AUG_SEEDS = (1, 2, 3)
 # (guess, c) hypotheses for state byte 0 over ciphertext byte c, centred
 # and scaled so that a product with any function of c gives cov/sd(h)
 _C = np.arange(256)
-_HYP = aes.HW_TABLE[aes.INV_SBOX[_C ^ _C[:, None]] ^ _C].astype(np.float64)
+_HYP = HW[aes.INV_SBOX[_C ^ _C[:, None]] ^ _C].astype(np.float64)
 _HYP -= _HYP.mean(axis=1, keepdims=True)
 _HYP /= 256 * np.sqrt(np.mean(_HYP ** 2, axis=1, keepdims=True))
 
@@ -68,7 +68,7 @@ def limit_terms(key_byte, bit, on_toggle=False):
     toggle = aes.INV_SBOX[_C ^ key_byte] ^ _C
     bit_toggles = (toggle >> bit) & 1
     fires = bit_toggles if on_toggle else 1 - bit_toggles
-    return _HYP @ (-W * aes.HW_TABLE[toggle]), _HYP @ -fires.astype(np.float64)
+    return _HYP @ (-W * HW[toggle]), _HYP @ -fires.astype(np.float64)
 
 
 def offset_threshold(key_byte, bit, on_toggle=False):
@@ -105,8 +105,8 @@ def plain_50k_campaign():
 
 
 def test_criterion_01_aes_correctness():
-    ct = sk.last_round_states_batch("000102030405060708090a0b0c0d0e0f",
-                                    sk.as_block("00112233445566778899aabbccddeeff")[None])[1][0]
+    ct = encrypt("000102030405060708090a0b0c0d0e0f",
+                 sk.as_block("00112233445566778899aabbccddeeff")[None])[1][0]
     ct_ok = sk.block_hex(ct) == "69c4e0d86a7b0430d8cdb78070b4c55a"
     k10 = sk.last_round_key("000102030405060708090a0b0c0d0e0f")
     k10_ok = sk.block_hex(k10) == "13111d7fe3944a17f307a78b4d2b30c5"
@@ -121,7 +121,7 @@ def test_criterion_02_model_consistency():
     for _ in range(1000):
         key = rng.integers(0, 256, 16, dtype=np.uint8)
         pt = rng.integers(0, 256, 16, dtype=np.uint8)
-        round9, ct = (rows[0] for rows in sk.last_round_states_batch(key, pt[None]))
+        round9, ct = (rows[0] for rows in encrypt(key, pt[None]))
         k10 = sk.last_round_key(key)
         for j in range(16):
             guess = int(k10[aes.SR_FORWARD[j]])
@@ -137,7 +137,7 @@ def test_criterion_03_noiseless_oracle_attack():
     # is an exact affine image of the trace and |r| must hit 1
     min_r, all_rank1 = 1.0, True
     for j in range(16):
-        config = sk.LeakageConfig.single_byte_weights(j, W)
+        config = single_byte_config(j, W)
         traces = sk.simulate_campaign(KEY, 512, config, seed=300 + j)
         result = sk.cpa_attack(traces, j, checkpoint_stride=512)
         correct = sk.correct_last_round_guess(KEY, j)

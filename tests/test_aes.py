@@ -4,7 +4,7 @@ import pytest
 from scakit import aes
 from scakit.traces import TraceSet
 
-from helpers import hypothetical_power, last_round_transitions
+from helpers import HW, encrypt, hypothetical_power, last_round_transitions
 
 FIPS_KEY = "000102030405060708090a0b0c0d0e0f"
 FIPS_PT = "00112233445566778899aabbccddeeff"
@@ -14,11 +14,11 @@ FIPS_ROUND10_KEY = "13111d7fe3944a17f307a78b4d2b30c5"
 
 def encrypt_one(key, plaintext):
     """One block through the batch cipher: a one-row batch, row 0."""
-    return aes.last_round_states_batch(key, aes.as_block(plaintext)[None])[1][0]
+    return encrypt(key, aes.as_block(plaintext)[None])[1][0]
 
 
 def last_round_states_one(key, plaintext):
-    round9, ct = aes.last_round_states_batch(key, aes.as_block(plaintext)[None])
+    round9, ct = encrypt(key, aes.as_block(plaintext)[None])
     return round9[0], ct[0]
 
 
@@ -37,16 +37,16 @@ def test_encrypt_batch_matches_scalar():
     rng = np.random.default_rng(1)
     key = rng.integers(0, 256, 16, dtype=np.uint8)
     pts = rng.integers(0, 256, (4097, 16), dtype=np.uint8)
-    full = aes.last_round_states_batch(key, pts)
+    full = encrypt(key, pts)
     for i in [*range(0, 4097, 256), 4094, 4095, 4096]:
         assert np.array_equal(full[1][i], encrypt_one(key, pts[i]))
     for n in (1, 4095, 4096, 4097):   # one campaign chunk is 4096 blocks
-        batch = aes.last_round_states_batch(key, pts[:n])
+        batch = encrypt(key, pts[:n])
         for out, whole in zip(batch, full):
             assert out.shape == (n, 16) and out.dtype == np.uint8 and out.flags.c_contiguous
             assert np.array_equal(out, whole[:n])
     with pytest.raises(ValueError, match=r"\(n, 16\) byte array"):
-        aes.last_round_states_batch(key, pts[:, :15])
+        encrypt(key, pts[:, :15])
 
 
 def test_key_schedule_round10():
@@ -130,14 +130,6 @@ def test_transitions_argument_errors():
         aes.hypothesis_matrix(cts, 0, [256])
 
 
-def test_hamming_weight_table():
-    assert aes.HW_TABLE[0x00] == 0
-    assert aes.HW_TABLE[0xFF] == 8
-    assert aes.HW_TABLE[0x52] == 3
-    for v in range(256):
-        assert aes.HW_TABLE[v] == bin(v).count("1")
-
-
 def test_hypothetical_power_composition():
     assert hypothetical_power(np.zeros(16, np.uint8), 0x00, 0) == 3  # popcount(0x52)
 
@@ -176,7 +168,7 @@ def test_hypothesis_matrix_exhaustive_oracle():
     cts[:, aes.SR_FORWARD[1]] = c1[:, 0]
     cts[:, 1] = c2[:, 0]
     guesses = np.arange(256, dtype=np.uint8)
-    expected = aes.HW_TABLE[aes.INV_SBOX[c1 ^ guesses] ^ c2]
+    expected = HW[aes.INV_SBOX[c1 ^ guesses] ^ c2]
     assert np.array_equal(aes.hypothesis_matrix(cts, 1), expected)
 
 
@@ -255,7 +247,6 @@ def test_as_block_accepts_integer_bytes():
 BYTE_ENTRY_POINTS = {
     "as_block": lambda blocks: aes.as_block(blocks[1]),
     "TraceSet": lambda blocks: TraceSet(np.zeros((len(blocks), 1)), blocks, blocks),
-    "last_round_states_batch": lambda blocks: aes.last_round_states_batch(FIPS_KEY, blocks),
     "hypothesis_matrix": lambda blocks: aes.hypothesis_matrix(blocks, 0),
 }
 

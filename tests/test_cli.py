@@ -22,7 +22,7 @@ from scakit.hd import wrong_horse_scan
 from scakit.leakage import Augmentation, LeakageConfig, simulate_campaign
 from scakit.traceio import read_sctr
 
-from helpers import export_raw, traced_peak, write_digest_outputs
+from helpers import encrypt, export_raw, traced_peak, write_digest_outputs
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"
 CORRECT_BYTE0 = 51
@@ -42,13 +42,14 @@ def noisy_sctr(tmp_path_factory):
 
 def test_simulate_writes_campaign(tmp_path, capsys):
     out = tmp_path / "c.sctr"
-    assert run("simulate", "--key", KEY, "--n", 40, "--sigma", 0.5,
+    assert run("simulate", "--key", KEY.upper(), "--n", 40, "--sigma", 0.5,
                "--seed", 9, "-o", out) == 0
     effective = json.loads(capsys.readouterr().out)
     assert effective["n"] == 40 and effective["seed"] == 9
+    assert effective["key"] == KEY.upper()   # echoed as given
     ts = read_sctr(out)
     assert ts.n_traces == 40
-    _, cts = aes.last_round_states_batch(ts.true_key, ts.plaintexts)
+    _, cts = encrypt(ts.true_key, ts.plaintexts)
     assert np.array_equal(cts, ts.ciphertexts)
 
 
@@ -107,7 +108,22 @@ def test_config_file_reports_bad_value_with_its_line(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error.startswith(f"{cfg}:2: bad value for 'n': ")
     assert "'abc'" in error
+    # the key is parsed like every other value, before any work
+    cfg.write_text("key = 0011\n")
+    assert run("simulate", "--config", cfg, "-o", tmp_path / "x.sctr") == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"{cfg}:1: bad value for 'key': block must have exactly 16 bytes, got shape (2,)"
     assert not (tmp_path / "x.sctr").exists()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--offsets", "0", "--bits", "2"]],
+                         ids=["simulate", "sweep"])
+@pytest.mark.parametrize("key", ["zz", "0011"])
+def test_bad_key_flag_names_the_flag(tmp_path, capsys, command, key):
+    out = tmp_path / "x.out"
+    assert run(*command, "--key", key, "-o", out) == 1
+    assert assert_json_error(capsys, out) == (f"scakit {command[0]}: argument --key: "
+                                              f"invalid cipher key value: '{key}'")
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--offsets", "0", "--bits", "2"]],

@@ -18,7 +18,7 @@ from scakit.leakage import Augmentation, LeakageConfig, simulate_campaign, simul
 from scakit.traceio import import_raw
 from scakit.traces import TraceSet
 
-from helpers import export_raw, reference_disclosure, reference_evolution
+from helpers import export_raw, reference_disclosure, reference_evolution, single_byte_config
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"  # round-10 key byte 0 is 0x33
 CORRECT_BYTE0 = 51
@@ -110,8 +110,12 @@ def test_checkpoint_schedule():
     assert checkpoint_schedule(1000, 100) == list(range(100, 1001, 100))
     assert checkpoint_schedule(1050, 100) == list(range(100, 1001, 100)) + [1050]
     assert checkpoint_schedule(50, 100) == [50]
-    with pytest.raises(ValueError):
-        checkpoint_schedule(100, 0)
+    assert checkpoint_schedule(100, 100) == [100]
+    assert checkpoint_schedule(0, 100) == [0]
+    assert checkpoint_schedule(1, 1) == [1]
+    for stride in (0, -1):
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            checkpoint_schedule(100, stride)
 
 
 def _disclosure(checkpoints, correct_vals, other_vals, correct=51):
@@ -400,7 +404,7 @@ def test_walk_disclosure_covers_first_late_tied_and_no_leads():
     # ties every guess at r = 0 at the first three checkpoints: no strict lead.
     config = LeakageConfig.equal_weights(1.0, noise_sigma=4.0)
     noisy, defeated = simulate_offset_grid(KEY, 3000, config, 1, [None, Augmentation(0, 2, 6.0)])
-    quiet = simulate_campaign(KEY, 3000, LeakageConfig.single_byte_weights(0, noise_sigma=4.0), 1)
+    quiet = simulate_campaign(KEY, 3000, single_byte_config(0, noise_sigma=4.0), 1)
 
     def zeroed(count):
         samples = quiet.samples.copy()

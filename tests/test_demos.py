@@ -1,10 +1,12 @@
 """Smoke tests: every demo script and the README's library tour run to
-the end; and the package stays under its line gate.
+the end; the package stays under its line gate, and each of its public
+names is read by the package or a demo.
 
 Each demo is copied into a temporary directory first, so the CSVs it
 writes next to itself land there and not in ``demos/out``.
 """
 
+import ast
 import re
 import runpy
 import shutil
@@ -43,3 +45,38 @@ def test_package_stays_under_the_line_gate():
     lines = {path.name: len(path.read_bytes().splitlines())
              for path in sorted((ROOT / "src" / "scakit").glob("*.py"))}
     assert sum(lines.values()) < 1632, f"{sum(lines.values())} lines: {lines}"
+
+
+def test_every_public_name_has_a_caller():
+    # ROADMAP, "Quality of design": every public module-level function, class and
+    # assignment, and every public method of a public class, is read (a name load
+    # or an attribute) in the package or a demo. Imports, such as the re-exports of
+    # __init__.py, are not reads, and tests do not count: an oracle that only a test
+    # needs belongs in tests/helpers.py
+    def trees(folder):
+        return {path.stem: ast.parse(path.read_bytes()) for path in sorted(folder.glob("*.py"))}
+
+    package = trees(ROOT / "src" / "scakit")
+    read = set()
+    for tree in [*package.values(), *trees(ROOT / "demos").values()]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+
+    def defined(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return [node.name]
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        return [target.id for target in targets if isinstance(target, ast.Name)]
+
+    public = []
+    for module, tree in package.items():
+        for node in tree.body:
+            public += [(f"{module}.{name}", name) for name in defined(node)]
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                public += [(f"{module}.{node.name}.{item.name}", item.name)
+                           for item in node.body if isinstance(item, ast.FunctionDef)]
+    unread = [where for where, name in public if not name.startswith("_") and name not in read]
+    assert not unread, f"public names that nothing in the package or a demo reads: {unread}"

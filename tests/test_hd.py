@@ -18,7 +18,7 @@ from scakit.leakage import (Augmentation, LeakageConfig, Trigger, simulate_campa
                             simulate_offset_grid)
 from scakit.traces import TraceSet
 
-from helpers import traced_peak
+from helpers import single_byte_config, traced_peak
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"
 CORRECT_BYTE0 = 51
@@ -34,7 +34,7 @@ def test_group_counts_sum_to_n_traces():
 def test_group_by_hd_classes_are_a_hypothesis_matrix_column(byte_index, guess):
     ts = simulate_campaign(KEY, 1500, LeakageConfig.equal_weights(1.0, noise_sigma=1.0), seed=4)
     column = aes.hypothesis_matrix(ts.ciphertexts, byte_index)[:, guess]
-    expected = hd._class_summary(column, ts.samples[:, 0].astype(np.float64), guess)
+    expected = hd._class_summary(column, ts.samples[:, 0].astype(np.float64))
     summary = group_by_hd(ts, guess, byte_index)
     assert np.array_equal(summary.counts, expected.counts)
     assert np.array_equal(summary.means, expected.means, equal_nan=True)
@@ -59,7 +59,7 @@ def test_class_counts_peak_at_four():
 
 
 def test_noiseless_single_byte_class_means_decrease_exactly():
-    config = LeakageConfig.single_byte_weights(0, 1.0)
+    config = single_byte_config(0, 1.0)
     ts = simulate_campaign(KEY, 4096, config, seed=3)
     summary = group_by_hd(ts, CORRECT_BYTE0, 0)
     present = np.nonzero(summary.present)[0]
@@ -72,7 +72,7 @@ def test_fit_recovers_exact_line():
     hs = np.nonzero(counts)[0].astype(float)
     means = np.full(9, np.nan)
     means[counts > 0] = 3.5 - 2.25 * hs
-    summary = HdClassSummary(counts=counts, means=means, key_guess=0)
+    summary = HdClassSummary(counts=counts, means=means)
     fit = fit_hd_line(summary)
     assert fit.slope == pytest.approx(-2.25, abs=1e-12)
     assert fit.intercept == pytest.approx(3.5, abs=1e-12)
@@ -81,7 +81,7 @@ def test_fit_recovers_exact_line():
 
 
 def test_noiseless_single_byte_fit_is_exact():
-    config = LeakageConfig.single_byte_weights(0, 0.75, baseline=10.0)
+    config = single_byte_config(0, 0.75, baseline=10.0)
     ts = simulate_campaign(KEY, 4096, config, seed=4)
     fit = fit_hd_line(group_by_hd(ts, CORRECT_BYTE0, 0))
     assert fit.slope == pytest.approx(-0.75, abs=1e-9)
@@ -90,21 +90,18 @@ def test_noiseless_single_byte_fit_is_exact():
 
 def test_fit_needs_two_classes():
     summary = HdClassSummary(counts=np.array([5, 0, 0, 0, 0, 0, 0, 0, 0]),
-                             means=np.array([1.0] + [np.nan] * 8),
-                             key_guess=0)
+                             means=np.array([1.0] + [np.nan] * 8))
     with pytest.raises(ValueError):
         fit_hd_line(summary)
 
 
 def _line_summary(slope, intercept=0.0):
     hs = np.arange(9, dtype=float)
-    return HdClassSummary(counts=np.ones(9, dtype=np.int64),
-                          means=intercept + slope * hs,
-                          key_guess=0)
+    return HdClassSummary(counts=np.ones(9, dtype=np.int64), means=intercept + slope * hs)
 
 
 def test_wrong_horse_scan_empty_without_augmentation():
-    config = LeakageConfig.single_byte_weights(0, 1.0)
+    config = single_byte_config(0, 1.0)
     ts = simulate_campaign(KEY, 4096, config, seed=5)
     assert wrong_horse_scan(ts, 0, CORRECT_BYTE0) == []
 
@@ -198,7 +195,7 @@ def test_screen_defers_fits_decided_by_rounding(rescored, column):
             counts = np.bincount(hyp[:, guess], minlength=9)
             with np.errstate(invalid="ignore"):
                 means = np.bincount(hyp[:, guess], weights=column, minlength=9) / counts
-            abs_r[guess] = abs(fit_hd_line(HdClassSummary(counts, means, guess)).r)
+            abs_r[guess] = abs(fit_hd_line(HdClassSummary(counts, means)).r)
         correct = aes.correct_last_round_guess(KEY, byte_index)
         expected = [g for g in range(256) if g != correct and abs_r[g] > abs_r[correct]]
         rescored.clear()

@@ -16,13 +16,13 @@ from scakit.leakage import (
 )
 from scakit.traceio import SctrFormatError
 
-from helpers import traced_peak
+from helpers import HW, encrypt, traced_peak
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"
 
 
 def total_hd(key, pts):
-    round9, cts = aes.last_round_states_batch(key, pts)
+    round9, cts = encrypt(key, pts)
     return toggle_bits(round9, cts).sum(axis=1)
 
 
@@ -31,7 +31,7 @@ def test_noiseless_trace_is_affine_in_total_hd():
     ts = simulate_campaign(KEY, 20, config, seed=1)
     h = total_hd(KEY, ts.plaintexts)
     assert np.array_equal(ts.samples[:, 0], (2.0 - 0.5 * h).astype(np.float32))
-    assert np.array_equal(ts.ciphertexts, aes.last_round_states_batch(KEY, ts.plaintexts)[1])
+    assert np.array_equal(ts.ciphertexts, encrypt(KEY, ts.plaintexts)[1])
 
 
 def test_zero_weights_give_exact_baseline():
@@ -47,7 +47,7 @@ def test_zero_weights_give_exact_baseline():
 def test_augmentation_fires_exactly_on_trigger(trigger, want_toggle):
     aug = Augmentation(0, 2, offset=3.0, trigger=trigger)
     ts = simulate_campaign(KEY, 64, LeakageConfig.equal_weights(1.0), seed=7, augmentation=aug)
-    round9, cts = aes.last_round_states_batch(KEY, ts.plaintexts)
+    round9, cts = encrypt(KEY, ts.plaintexts)
     holds = (round9[:, 0] ^ cts[:, 0]) >> 2 & 1 == want_toggle
     assert holds.any() and not holds.all()
     h = total_hd(KEY, ts.plaintexts)
@@ -60,7 +60,7 @@ def test_augmentation_fires_exactly_on_trigger(trigger, want_toggle):
 def test_augmented_campaign_matches_formula_trace_by_trace():
     aug = Augmentation(0, 2, offset=4.0)
     ts = simulate_campaign(KEY, 600, LeakageConfig.equal_weights(1.0), seed=9, augmentation=aug)
-    round9, cts = aes.last_round_states_batch(KEY, ts.plaintexts)
+    round9, cts = encrypt(KEY, ts.plaintexts)
     bits = toggle_bits(round9, cts).astype(np.float64)
     static = 1.0 - bits[:, 8 * 0 + 2]
     expected = (-bits.sum(axis=1) - 4.0 * static).astype(np.float32)
@@ -171,7 +171,7 @@ def expected_total_hd(key):
     for j in range(16):
         pos = int(aes.SR_FORWARD[j])
         if pos == j:
-            total += aes.HW_TABLE[aes.INV_SBOX[c ^ k10[pos]] ^ c].mean()
+            total += HW[aes.INV_SBOX[c ^ k10[pos]] ^ c].mean()
         else:
             total += 4.0
     return total
@@ -198,7 +198,7 @@ def test_noiseless_correlation_with_total_hd_is_minus_one():
 def test_campaign_ciphertexts_verify():
     config = LeakageConfig.equal_weights(1.0, noise_sigma=3.0)
     ts = simulate_campaign(KEY, 300, config, seed=17)
-    _, cts = aes.last_round_states_batch(ts.true_key, ts.plaintexts)
+    _, cts = encrypt(ts.true_key, ts.plaintexts)
     assert np.array_equal(cts, ts.ciphertexts)
     assert ts.samples.dtype == np.float32
 
@@ -258,9 +258,3 @@ def test_sizes_sctr_cannot_record_fail_before_any_chunk(monkeypatch, n, samples,
         simulate_campaign(KEY, n, config, seed)
     with pytest.raises(SctrFormatError, match=message):
         next(simulate_offset_grid(KEY, n, config, seed, [None, Augmentation(0, 2, 4.0)]))
-
-
-def test_single_byte_weights_layout():
-    config = LeakageConfig.single_byte_weights(3, 2.0)
-    assert config.bit_weights[24:32].tolist() == [2.0] * 8
-    assert config.bit_weights.sum() == 16.0
