@@ -30,7 +30,7 @@ def run(label, augmentation):
             for guess in range(256):
                 writer.writerow([count, guess, f"{column[guess]:.8g}"])
     print(f"{label:>9}: best guess {result.best_guess} "
-          f"(correct is {correct}, rank {sk.rank_of_guess(result, correct)}), "
+          f"(correct is {correct}, rank {result.correct_rank}), "
           f"disclosure {result.disclosure}, curves -> {path}")
     return result
 

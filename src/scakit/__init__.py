@@ -22,7 +22,6 @@ from .cpa import (
     checkpoint_schedule,
     cpa_attack,
     cpa_attack_sets,
-    pearson,
     rank_of_guess,
 )
 from .hd import (

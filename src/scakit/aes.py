@@ -7,6 +7,8 @@ the final-round overwrite with the ciphertext; the module also exposes the
 ShiftRows byte permutation and the Hamming-distance hypotheses of CPA.
 """
 
+import numbers
+
 import numpy as np
 
 SBOX = np.array([
@@ -138,12 +140,12 @@ def _as_batch(blocks):
 
 
 def _check_byte_index(byte_index):
-    if not 0 <= byte_index <= 15:
+    if not isinstance(byte_index, numbers.Integral) or not 0 <= byte_index <= 15:
         raise ValueError(f"byte_index must be in 0..15, got {byte_index}")
 
 
 def _check_guess(key_guess):
-    if not 0 <= key_guess <= 255:
+    if not isinstance(key_guess, numbers.Integral) or not 0 <= key_guess <= 255:
         raise ValueError(f"key_guess must be in 0..255, got {key_guess}")
 
 

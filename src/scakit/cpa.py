@@ -8,7 +8,6 @@ largest |r| across samples; the physical sign convention of the traces
 therefore has no effect on attack outcomes.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,27 +20,6 @@ CHECKPOINT_STRIDE = 100   # traces between two recorded checkpoints unless a cal
 # elements whose r is computed at once (their float64 bytes also bound a block's uint8
 # hypothesis rows) and a group's evolution elements (its sets' samples, without evolutions).
 _BLOCK_ELEMENTS, _GROUP_ELEMENTS = 1 << 16, 1 << 20
-
-
-def pearson(xs, ys) -> float:
-    """Pearson correlation coefficient of two equal-length sequences.
-
-    Zero variance on either side yields 0.0 by convention: a constant
-    hypothesis carries no information, it is not an error.
-    """
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"xs and ys must be 1-D and equally long, got {x.shape} vs {y.shape}")
-    if len(x) < 2:
-        raise ValueError(f"need at least 2 points, got {len(x)}")
-    x = x - x.mean()
-    y = y - y.mean()
-    vx = math.fsum(x * x)   # exactly rounded sums, not BLAS dot products: the same bits on any host
-    vy = math.fsum(y * y)
-    if vx == 0.0 or vy == 0.0:
-        return 0.0
-    return math.fsum(x * y) / math.sqrt(vx * vy)
 
 
 def _moments(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy, out=None):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aes
-from .cpa import CHECKPOINT_STRIDE, cpa_attack_sets, pearson
+from .cpa import CHECKPOINT_STRIDE, cpa_attack_sets
 from .traces import TraceSet
 
 
@@ -80,17 +80,17 @@ def group_by_hd(traces: TraceSet, key_guess, byte_index, sample_index=0) -> HdCl
 def fit_hd_line(summary: HdClassSummary) -> HdFit:
     """Ordinary least squares through the (HD class, class mean) points,
     every populated class weighted equally; empty classes are skipped."""
-    mask = summary.present
-    if int(mask.sum()) < 2:
+    h = np.flatnonzero(summary.present).astype(np.float64)
+    if len(h) < 2:
         raise ValueError("need at least 2 populated HD classes to fit a line")
-    h = np.nonzero(mask)[0].astype(np.float64)
-    m = summary.means[mask]
+    m = summary.means[summary.present]
     hc = h - h.mean()
     mc = m - m.mean()
-    slope = math.fsum(hc * mc) / math.fsum(hc * hc)   # as pearson, no BLAS dot products
+    sxx, sxy, syy = (math.fsum(a * b) for a, b in ((hc, hc), (hc, mc), (mc, mc)))
+    slope = sxy / sxx   # exactly rounded sums, not BLAS dot products: the same bits on any host
     intercept = float(m.mean() - slope * h.mean())
-    return HdFit(slope=slope, intercept=intercept, r=pearson(h, m),
-                 n_classes_used=int(mask.sum()))
+    r = sxy / math.sqrt(sxx * syy) if syy else 0.0   # equal class means carry no information
+    return HdFit(slope=slope, intercept=intercept, r=r, n_classes_used=len(h))
 
 
 def wrong_horse_scan(traces: TraceSet, byte_index, correct_guess, sample_index=0):

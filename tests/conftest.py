@@ -1,9 +1,3 @@
-import os
-import sys
-
-# allow running pytest from a fresh checkout without installing
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
 from hypothesis import settings
 
 # Property tests draw the same examples on every run, so a failure

@@ -1,7 +1,8 @@
 """Test helpers: the tests' own popcount table ``HW``; the simulator's batch
 cipher under a cipher key; a leakage config in which one state byte alone
 leaks; the scalar CPA model, an oracle for ``aes.hypothesis_matrix`` built from
-``INV_SBOX`` and ``HW`` alone; a reference for the CPA walk's
+``INV_SBOX`` and ``HW`` alone; the textbook two-pass Pearson r, the
+reference of the CPA, HD and acceptance tests; a reference for the CPA walk's
 evolution built from public names alone, and one for its disclosure that is a
 plain loop over an evolution's checkpoints and values; a writer of the raw float32 +
 metadata CSV capture format that ``import_raw`` reads; the traced-memory peak
@@ -11,6 +12,7 @@ recorded digests pin."""
 import contextlib
 import csv
 import io
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -56,6 +58,27 @@ def hypothetical_power(ct, key_guess, byte_index) -> int:
     """Model value for CPA: Hamming distance of the predicted overwrite,
     i.e. the Hamming weight of :func:`last_round_transitions`."""
     return int(HW[last_round_transitions(ct, key_guess, byte_index)])
+
+
+def pearson(xs, ys) -> float:
+    """Pearson correlation coefficient of two equal-length sequences.
+
+    Zero variance on either side yields 0.0 by convention: a constant
+    hypothesis carries no information, it is not an error.
+    """
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError(f"xs and ys must be 1-D and equally long, got {x.shape} vs {y.shape}")
+    if len(x) < 2:
+        raise ValueError(f"need at least 2 points, got {len(x)}")
+    x = x - x.mean()
+    y = y - y.mean()
+    vx = math.fsum(x * x)   # exactly rounded sums, not BLAS dot products: the same bits on any host
+    vy = math.fsum(y * y)
+    if vx == 0.0 or vy == 0.0:
+        return 0.0
+    return math.fsum(x * y) / math.sqrt(vx * vy)
 
 
 def reference_evolution(traces, byte_index, checkpoints):

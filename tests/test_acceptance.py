@@ -38,9 +38,8 @@ import pytest
 
 import scakit as sk
 from scakit import aes, cli
-from scakit.cpa import pearson
 
-from helpers import HW, encrypt, export_raw, last_round_transitions, single_byte_config
+from helpers import HW, encrypt, export_raw, last_round_transitions, pearson, single_byte_config
 
 W = 1.0
 SIGMA = 4.0 * W

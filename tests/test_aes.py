@@ -128,6 +128,15 @@ def test_transitions_argument_errors():
         aes.hypothesis_matrix(cts, -1, [0])
     with pytest.raises(ValueError):
         aes.hypothesis_matrix(cts, 0, [256])
+    # a fractional guess or byte is refused, not truncated to its integer part
+    for guess in (51.9, 2.5):
+        with pytest.raises(ValueError, match="key_guess"):
+            aes.hypothesis_matrix(cts, 0, [guess])
+    for byte_index in (3.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match="byte_index"):
+            aes.hypothesis_matrix(cts, byte_index)
+    assert np.array_equal(aes.hypothesis_matrix(cts, np.int64(0), [np.uint8(51)]),
+                          aes.hypothesis_matrix(cts, 0, [51]))
 
 
 def test_hypothetical_power_composition():

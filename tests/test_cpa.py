@@ -11,14 +11,14 @@ from scakit.cpa import (
     checkpoint_schedule,
     cpa_attack,
     cpa_attack_sets,
-    pearson,
     rank_of_guess,
 )
 from scakit.leakage import Augmentation, LeakageConfig, simulate_campaign, simulate_offset_grid
 from scakit.traceio import import_raw
 from scakit.traces import TraceSet
 
-from helpers import export_raw, reference_disclosure, reference_evolution, single_byte_config
+from helpers import (export_raw, pearson, reference_disclosure, reference_evolution,
+                     single_byte_config)
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"  # round-10 key byte 0 is 0x33
 CORRECT_BYTE0 = 51
@@ -468,6 +468,12 @@ def test_attack_argument_errors():
         cpa_attack(ts, 0, checkpoint_stride=0)
     with pytest.raises(ValueError):
         cpa_attack(ts, 16)
+    with pytest.raises(ValueError, match="byte_index"):
+        cpa_attack(ts, 3.0)
+    result = cpa_attack(ts, 0)
+    with pytest.raises(ValueError, match="key_guess"):
+        rank_of_guess(result, 2.5)
+    assert rank_of_guess(result, np.uint8(51)) == rank_of_guess(result, 51)
 
 
 def test_max_over_samples_scoring():

@@ -1,6 +1,7 @@
 """Smoke tests: every demo script and the README's library tour run to
 the end; the package stays under its line gate, and each of its public
-names is read by the package or a demo.
+names is read by the package or a demo; the tests' oracles import nothing
+from the engine under test.
 
 Each demo is copied into a temporary directory first, so the CSVs it
 writes next to itself land there and not in ``demos/out``.
@@ -45,6 +46,26 @@ def test_package_stays_under_the_line_gate():
     lines = {path.name: len(path.read_bytes().splitlines())
              for path in sorted((ROOT / "src" / "scakit").glob("*.py"))}
     assert sum(lines.values()) < 1632, f"{sum(lines.values())} lines: {lines}"
+
+
+def test_oracles_import_nothing_from_cpa_or_hd():
+    # ROADMAP, "Quality of design" and item 4: the tests' oracles stay independent of
+    # the engine they check, so no import statement in tests/helpers.py or the
+    # acceptance suite names scakit.cpa or scakit.hd; the criteria reach the engine
+    # under test through the package, as ``sk``
+    engine = ("scakit.cpa.", "scakit.hd.")
+    named = []
+    for name in ("helpers.py", "test_acceptance.py"):
+        for node in ast.walk(ast.parse((ROOT / "tests" / name).read_bytes())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):   # a name the statement takes from a module
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            named += [f"{name}:{node.lineno} {module}" for module in modules
+                      if f"{module}.".startswith(engine)]
+    assert not named, f"oracle imports from the engine under test: {named}"
 
 
 def test_every_public_name_has_a_caller():

@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -18,7 +19,7 @@ from scakit.leakage import (Augmentation, LeakageConfig, Trigger, simulate_campa
                             simulate_offset_grid)
 from scakit.traces import TraceSet
 
-from helpers import single_byte_config, traced_peak
+from helpers import pearson, single_byte_config, traced_peak
 
 KEY = "2041e2770445067328090a7f0c0d0e7b"
 CORRECT_BYTE0 = 51
@@ -78,6 +79,46 @@ def test_fit_recovers_exact_line():
     assert fit.intercept == pytest.approx(3.5, abs=1e-12)
     assert fit.r == pytest.approx(-1.0, abs=1e-12)
     assert fit.n_classes_used == 6
+
+
+@st.composite
+def _fit_summaries(draw):
+    """A summary with 2-9 present classes, and whether its present means are
+    flat; flat means are dyadic, so that their mean is exact."""
+    present = sorted(draw(st.sets(st.integers(0, 8), min_size=2)))
+    kind = draw(st.sampled_from(["flat", "offset", "wide", "plain"]))
+    k = len(present)
+    if kind == "flat":
+        m = [draw(st.integers(-2 ** 20, 2 ** 20)) * 2.0 ** draw(st.integers(-60, 20))] * k
+    elif kind == "offset":
+        base = draw(st.floats(-1e6, 1e6))
+        m = [base + draw(st.floats(-1.0, 1.0)) for _ in present]
+    elif kind == "wide":
+        m = [draw(st.floats(-1.0, 1.0)) * 10.0 ** draw(st.integers(-12, 6)) for _ in present]
+    else:
+        m = draw(st.lists(st.floats(-1e6, 1e6), min_size=k, max_size=k))
+    counts = np.zeros(9, dtype=np.int64)
+    counts[present] = draw(st.lists(st.integers(1, 500), min_size=k, max_size=k))
+    means = np.full(9, np.nan)
+    means[present] = m
+    return HdClassSummary(counts=counts, means=means), kind == "flat"
+
+
+@settings(max_examples=400)
+@given(drawn=_fit_summaries())
+def test_fit_is_the_textbook_line(drawn):
+    # exact equality: the fit's slope is the least-squares ratio of exactly
+    # rounded centred sums, and its r is the textbook two-pass Pearson r
+    summary, flat = drawn
+    h = np.flatnonzero(summary.present).astype(np.float64)
+    m = summary.means[summary.present]
+    hc, mc = h - h.mean(), m - m.mean()
+    fit = fit_hd_line(summary)
+    assert fit.r == pearson(h, m)
+    assert fit.slope == math.fsum(hc * mc) / math.fsum(hc * hc)
+    assert fit.n_classes_used == len(h)
+    if flat:
+        assert (fit.r, fit.slope) == (0.0, 0.0)
 
 
 def test_noiseless_single_byte_fit_is_exact():
@@ -216,6 +257,19 @@ def test_argument_validation():
         wrong_horse_scan(ts, 0, 300)
     with pytest.raises(ValueError):
         wrong_horse_scan(ts, 0, 0, sample_index=1)
+    # a fractional guess or byte is refused, not truncated; numpy integers are integers
+    for guess in (51.9, 2.5):
+        with pytest.raises(ValueError, match="key_guess"):
+            group_by_hd(ts, guess, 0)
+        with pytest.raises(ValueError, match="key_guess"):
+            wrong_horse_scan(ts, 0, guess)
+    for byte_index in (3.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match="byte_index"):
+            group_by_hd(ts, 0, byte_index)
+        with pytest.raises(ValueError, match="byte_index"):
+            wrong_horse_scan(ts, byte_index, 0)
+    assert group_by_hd(ts, np.uint8(51), np.int64(0)).counts.sum() == 64
+    assert wrong_horse_scan(ts, np.int64(0), np.uint8(51)) == wrong_horse_scan(ts, 0, 51)
     empty = TraceSet(np.zeros((0, 1)), np.zeros((0, 16)), np.zeros((0, 16)), true_key=KEY)
     with pytest.raises(ValueError, match="empty trace set"):
         next(attack_offset_grid([empty], 0))

@@ -226,6 +226,8 @@ def test_config_validation():
         Augmentation(16, 0, 1.0)
     with pytest.raises(ValueError):
         Augmentation(0, 8, 1.0)
+    with pytest.raises(ValueError, match="byte_index"):
+        Augmentation(0.0, 2, 1.0)
     with pytest.raises(ValueError):
         Augmentation(0, 0, -1.0)
     for bad in (np.nan, np.inf, -np.inf):
