@@ -139,14 +139,11 @@ def _as_batch(blocks):
     return arr
 
 
-def _check_byte_index(byte_index):
-    if not isinstance(byte_index, numbers.Integral) or not 0 <= byte_index <= 15:
-        raise ValueError(f"byte_index must be in 0..15, got {byte_index}")
-
-
-def _check_guess(key_guess):
-    if not isinstance(key_guess, numbers.Integral) or not 0 <= key_guess <= 255:
-        raise ValueError(f"key_guess must be in 0..255, got {key_guess}")
+def _check_index(name, value, stop):
+    """The one index rule: a ValueError naming ``name`` unless ``value`` is an integer
+    in 0..stop-1.  numpy integers pass; a bool (numpy reads it as a mask) or a fraction does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < stop:
+        raise ValueError(f"{name} must be an integer in 0..{stop - 1}, got {value}")
 
 
 def hypothesis_matrix(ciphertexts, byte_index, guesses=None) -> np.ndarray:
@@ -157,10 +154,12 @@ def hypothesis_matrix(ciphertexts, byte_index, guesses=None) -> np.ndarray:
     byte_index`` under guess ``k`` for the round-10 key byte at position
     ``SR_FORWARD[j]``: from ``INV_SBOX[ct[SR_FORWARD[j]] ^ k]`` to ``ct[j]``.
     Given a sequence of ``guesses``, only their columns, in that order.
+    ``byte_index`` and each guess follow :func:`_check_index`: a bool or a
+    fraction is a ValueError naming ``byte_index`` or ``key_guess``.
     """
-    _check_byte_index(byte_index)
+    _check_index("byte_index", byte_index, 16)
     for guess in guesses if guesses is not None else ():
-        _check_guess(guess)
+        _check_index("key_guess", guess, 256)
     cts = _as_batch(ciphertexts)
     table = PRIOR if guesses is None else PRIOR.take(guesses, axis=1)
     hyp = table.take(cts[:, SR_FORWARD[byte_index]], axis=0)
@@ -171,5 +170,5 @@ def hypothesis_matrix(ciphertexts, byte_index, guesses=None) -> np.ndarray:
 def correct_last_round_guess(key, byte_index) -> int:
     """The guess value that is correct when attacking ``byte_index``:
     the round-10 key byte at the post-ShiftRows position."""
-    _check_byte_index(byte_index)
+    _check_index("byte_index", byte_index, 16)
     return int(last_round_key(key)[SR_FORWARD[byte_index]])

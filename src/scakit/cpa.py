@@ -228,5 +228,5 @@ def _last_loss(abs_r, guess):
 
 def rank_of_guess(result: AttackResult, guess) -> int:
     """1-based position of a guess in the attack ranking."""
-    aes._check_guess(guess)
+    aes._check_index("key_guess", guess, 256)
     return int(np.nonzero(result.ranking == guess)[0][0]) + 1

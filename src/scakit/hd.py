@@ -56,8 +56,7 @@ class HdFit:
 
 def _sample(traces: TraceSet, sample_index):
     """The chosen sample column as float64."""
-    if not 0 <= sample_index < traces.samples_per_trace:
-        raise ValueError(f"sample_index {sample_index} outside 0..{traces.samples_per_trace - 1}")
+    aes._check_index("sample_index", sample_index, traces.samples_per_trace)
     return traces.samples[:, sample_index].astype(np.float64)
 
 
@@ -101,7 +100,7 @@ def wrong_horse_scan(traces: TraceSet, byte_index, correct_guess, sample_index=0
     under this metric.  Guesses whose traces fall into fewer than two
     HD classes cannot be fitted and never qualify.
     """
-    aes._check_guess(correct_guess)
+    aes._check_index("key_guess", correct_guess, 256)
     y = _sample(traces, sample_index)
     return _wrong_horses(_pair_classes(traces.ciphertexts, byte_index), y, correct_guess)
 
@@ -121,7 +120,7 @@ def attack_offset_grid(trace_sets, byte_index, *, checkpoint_stride=CHECKPOINT_S
     def checked(traces):
         if traces.true_key is None:
             raise ValueError("the trace sets of an offset grid must carry their true key")
-        _sample(traces, sample_index)   # for its range check alone
+        aes._check_index("sample_index", sample_index, traces.samples_per_trace)
         taken.append(traces)
         return traces
     pairs = None
@@ -144,7 +143,7 @@ class _PairClasses:
 def _pair_classes(ciphertexts, byte_index) -> _PairClasses:
     """Find the distinct pairs and classify them with the hypothesis matrix,
     transposed so that each guess's classes are one contiguous row."""
-    aes._check_byte_index(byte_index)
+    aes._check_index("byte_index", byte_index, 16)
     prior, new = ciphertexts[:, aes.SR_FORWARD[byte_index]], ciphertexts[:, byte_index]
     _, first, inverse = np.unique(prior.astype(np.intp) << 8 | new,
                                   return_index=True, return_inverse=True)

@@ -40,16 +40,16 @@ class Trigger(enum.Enum):
 
 @dataclass
 class Augmentation:
-    """Fixed extra leakage tied to one state-register bit."""
+    """Fixed extra leakage tied to bit ``bit_index`` of state byte ``byte_index``; both
+    follow :func:`aes._check_index`, so a bool or a fraction is a ValueError naming it."""
     byte_index: int
     bit_index: int
     offset: float
     trigger: Trigger = Trigger.ON_STATIC
 
     def __post_init__(self):
-        aes._check_byte_index(self.byte_index)
-        if not 0 <= self.bit_index <= 7:
-            raise ValueError(f"bit_index must be in 0..7, got {self.bit_index}")
+        aes._check_index("byte_index", self.byte_index, 16)
+        aes._check_index("bit_index", self.bit_index, 8)
         if not 0 <= self.offset < math.inf:
             raise ValueError(f"offset must be finite and >= 0, got {self.offset}")
         self.trigger = Trigger(self.trigger)
@@ -60,9 +60,9 @@ class LeakageConfig:
     """Parameters of the simulated leakage.
 
     ``bit_weights`` holds one weight per state-register bit; bit ``b`` of
-    state byte ``j`` is entry ``8*j + b``.  ``poi_index`` is the sample
-    that carries the overwrite leakage; every other sample is baseline
-    plus noise.
+    state byte ``j`` is entry ``8*j + b``.  ``poi_index``, the sample that
+    carries the overwrite leakage, follows :func:`aes._check_index`: a bool
+    or a fraction is a ValueError.  Every other sample is baseline plus noise.
     """
     bit_weights: np.ndarray = field(default_factory=lambda: np.ones(128))
     baseline: float = 0.0
@@ -82,8 +82,7 @@ class LeakageConfig:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.samples_per_trace < 1:
             raise ValueError(f"samples_per_trace must be >= 1, got {self.samples_per_trace}")
-        if not 0 <= self.poi_index < self.samples_per_trace:
-            raise ValueError(f"poi_index {self.poi_index} outside 0..{self.samples_per_trace - 1}")
+        aes._check_index("poi_index", self.poi_index, self.samples_per_trace)
 
     @classmethod
     def equal_weights(cls, weight=1.0, **kwargs) -> "LeakageConfig":

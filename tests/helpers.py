@@ -35,7 +35,7 @@ def encrypt(key, plaintexts):
 def single_byte_config(byte_index, weight=1.0, **kwargs) -> LeakageConfig:
     """A leakage config in which only the eight bits of state byte
     ``byte_index`` leak, each with ``weight``; every other bit is silent."""
-    aes._check_byte_index(byte_index)
+    aes._check_index("byte_index", byte_index, 16)
     weights = np.zeros(128)
     weights[8 * byte_index:8 * byte_index + 8] = float(weight)
     return LeakageConfig(bit_weights=weights, **kwargs)

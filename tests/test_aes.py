@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from scakit import aes
+from scakit import aes, hd
+from scakit.cpa import AttackResult, rank_of_guess
+from scakit.hd import attack_offset_grid, group_by_hd, wrong_horse_scan
+from scakit.leakage import Augmentation, LeakageConfig
 from scakit.traces import TraceSet
 
 from helpers import HW, encrypt, hypothetical_power, last_round_transitions
@@ -137,6 +142,42 @@ def test_transitions_argument_errors():
             aes.hypothesis_matrix(cts, byte_index)
     assert np.array_equal(aes.hypothesis_matrix(cts, np.int64(0), [np.uint8(51)]),
                           aes.hypothesis_matrix(cts, 0, [51]))
+
+
+_CTS = np.random.default_rng(3).integers(0, 256, (40, 16), dtype=np.uint8)
+_TRACES = TraceSet(np.random.default_rng(4).normal(size=(40, 2)), np.zeros_like(_CTS), _CTS,
+                   true_key=bytes(16))
+_INDEX_ENTRY_POINTS = {   # each entry point that takes an index: (name, stop, call with it)
+    "hypothesis_matrix-byte": ("byte_index", 16, lambda v: aes.hypothesis_matrix(_CTS, v)),
+    "correct_last_round_guess": ("byte_index", 16,
+                                 lambda v: aes.correct_last_round_guess(bytes(16), v)),
+    "pair_classes": ("byte_index", 16, lambda v: hd._pair_classes(_CTS, v)),
+    "Augmentation-byte": ("byte_index", 16, lambda v: Augmentation(v, 0, 1.0)),
+    "hypothesis_matrix-guess": ("key_guess", 256, lambda v: aes.hypothesis_matrix(_CTS, 0, [3, v])),
+    "rank_of_guess": ("key_guess", 256, lambda v: rank_of_guess(AttackResult(np.arange(256.0)), v)),
+    "wrong_horse_scan-guess": ("key_guess", 256, lambda v: wrong_horse_scan(_TRACES, 0, v)),
+    "group_by_hd-guess": ("key_guess", 256, lambda v: group_by_hd(_TRACES, v, 0)),
+    "Augmentation-bit": ("bit_index", 8, lambda v: Augmentation(0, v, 1.0)),
+    "LeakageConfig": ("poi_index", 3, lambda v: LeakageConfig(samples_per_trace=3, poi_index=v)),
+    "group_by_hd-sample": ("sample_index", 2, lambda v: group_by_hd(_TRACES, 0, 0, v)),
+    "wrong_horse_scan-sample": ("sample_index", 2, lambda v: wrong_horse_scan(_TRACES, 0, 0, v)),
+    "attack_offset_grid": ("sample_index", 2,
+                           lambda v: next(attack_offset_grid([_TRACES], 0, sample_index=v))),
+}
+
+
+@pytest.mark.parametrize("entry", _INDEX_ENTRY_POINTS)
+def test_every_index_follows_the_one_rule(entry):
+    # aes._check_index: a bool (an index of 1 that numpy reads as a mask), a
+    # fraction, even a whole one, and a value out of range are each refused with
+    # one ValueError naming the parameter; numpy integers are integers
+    name, stop, call = _INDEX_ENTRY_POINTS[entry]
+    for bad in (True, 2.5, 2.0, -1, stop):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer in 0\.\.{stop - 1}, "
+                                             rf"got {re.escape(str(bad))}$"):
+            call(bad)
+    call(np.int64(stop - 1))
+    call(np.uint8(1))
 
 
 def test_hypothetical_power_composition():

@@ -129,6 +129,17 @@ def _disclosure(checkpoints, correct_vals, other_vals, correct=51):
     return disclosure
 
 
+@pytest.mark.parametrize("rival", [50, 52])
+def test_last_loss_sees_the_rivals_next_to_the_guess(rival):
+    # at checkpoint 1 alone a neighbour of the guess ties it, at checkpoint 2 beats it
+    abs_r = np.full((4, 256), 0.1)
+    abs_r[:, 51] = 0.5
+    abs_r[1, rival], abs_r[2, rival] = 0.5, 0.6
+    assert cpa._last_loss(abs_r, 51) == 2
+    abs_r[2, rival] = 0.1
+    assert cpa._last_loss(abs_r, 51) == 1
+
+
 def test_traces_to_disclosure_always_first():
     assert _disclosure([1000, 2000, 3000], [0.9, 0.9, 0.9], 0.1) == 1000
 
@@ -609,4 +620,21 @@ def test_screen_declines_a_subnormal_variance_product():
     full = cpa._correlations(*sums)
     assert q.argmax(-1).max() == 1 and np.abs(full).argmax(-1).max() == 0
     peak = cpa._peak_r(*sums, np.empty((1, 1, 256, 2)), np.empty((1, 1, 256, 2)))
+    assert peak.tobytes() == full[..., :1].tobytes()
+
+
+def test_screen_declines_a_variance_product_that_overflows(monkeypatch):
+    # var_x = 1e200 against var_y of 1 and 1e200: the second product overflows,
+    # so its full r is 0, while each variance is finite.  The guard on the
+    # largest product must decline the block before any r is divided at the
+    # screen's sample, and r is the full kernel's.
+    sums = (np.array([2.0]), np.zeros((1, 256)), np.full((1, 256), 1e200),
+            np.zeros((1, 1, 2)), np.array([[[1.0, 1e200]]]),
+            np.broadcast_to([0.5e100, 1e199], (1, 1, 256, 2)).copy())
+    with np.errstate(over="ignore"):   # var_x * var_y overflows, as meant
+        full = cpa._correlations(*sums)
+        calls = _peak_r_calls(monkeypatch)
+        peak = cpa._peak_r(*sums, np.empty((1, 1, 256, 2)), np.empty((1, 1, 256, 2)))
+    assert np.all(full[..., 0] == 0.5) and np.all(full[..., 1] == 0.0)
+    assert calls == {"screened": 0, "full": 1}
     assert peak.tobytes() == full[..., :1].tobytes()

@@ -1,7 +1,7 @@
 """Smoke tests: every demo script and the README's library tour run to
 the end; the package stays under its line gate, and each of its public
 names is read by the package or a demo; the tests' oracles import nothing
-from the engine under test.
+from the engine under test; ``aes._check_index`` is the package's one index rule.
 
 Each demo is copied into a temporary directory first, so the CSVs it
 writes next to itself land there and not in ``demos/out``.
@@ -66,6 +66,27 @@ def test_oracles_import_nothing_from_cpa_or_hd():
             named += [f"{name}:{node.lineno} {module}" for module in modules
                       if f"{module}.".startswith(engine)]
     assert not named, f"oracle imports from the engine under test: {named}"
+
+
+def test_one_index_rule():
+    # ROADMAP item 11: aes._check_index is the only rule that tells an index from
+    # a bool or a fraction, so numbers.Integral is read nowhere else in the package,
+    # and the per-parameter checks it replaced stay deleted
+    reads, defined = [], set()
+    for path in sorted((ROOT / "src" / "scakit").glob("*.py")):
+        tree = ast.parse(path.read_bytes())
+        rule = [node for node in tree.body if path.stem == "aes"
+                and isinstance(node, ast.FunctionDef) and node.name == "_check_index"]
+        inside = {id(node) for function in rule for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(f"{path.stem}.{node.name}")
+            if (isinstance(node, ast.Attribute) and node.attr == "Integral"
+                    or isinstance(node, ast.Name) and node.id == "Integral"):
+                reads.append((path.name, node.lineno, id(node) in inside))
+    assert "aes._check_index" in defined
+    assert not [name for name in defined if name.endswith(("._check_byte_index", "._check_guess"))]
+    assert reads and all(inside for *_, inside in reads), f"numbers.Integral read at {reads}"
 
 
 def test_every_public_name_has_a_caller():

@@ -354,7 +354,8 @@ def test_attack_offset_grid_rejects_sets_with_other_ciphertexts(monkeypatch):
     with pytest.raises(ValueError, match="must carry their true key"):
         next(attack_offset_grid([keyless, keyless], 0))
     for sample_index in (1, -1):
-        with pytest.raises(ValueError, match=f"sample_index {sample_index} outside 0..0"):
+        with pytest.raises(ValueError,
+                           match=rf"sample_index must be an integer in 0\.\.0, got {sample_index}"):
             next(attack_offset_grid([first, first], 0, sample_index=sample_index))
     assert calls == []
     # the correct guess is no parameter, and the stride and sample are keywords

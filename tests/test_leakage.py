@@ -32,6 +32,11 @@ def test_noiseless_trace_is_affine_in_total_hd():
     h = total_hd(KEY, ts.plaintexts)
     assert np.array_equal(ts.samples[:, 0], (2.0 - 0.5 * h).astype(np.float32))
     assert np.array_equal(ts.ciphertexts, encrypt(KEY, ts.plaintexts)[1])
+    # the default config: each of the 128 bits weighs 1, on baseline 0 without noise
+    default = LeakageConfig()
+    assert np.array_equal(default.bit_weights, np.ones(128))
+    ts = simulate_campaign(KEY, 20, default, seed=1)
+    assert np.array_equal(ts.samples[:, 0], -total_hd(KEY, ts.plaintexts).astype(np.float32))
 
 
 def test_zero_weights_give_exact_baseline():

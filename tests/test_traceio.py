@@ -246,6 +246,13 @@ def test_import_raw_infers_trace_length(tmp_path):
     assert (ts.n_traces, ts.samples_per_trace) == (2, 3)
 
 
+def test_import_raw_takes_a_trace_length_of_one(tmp_path):
+    raw, meta = _write_raw(tmp_path, n=3, spt=1)
+    ts = import_raw(raw, meta, samples_per_trace=1)
+    assert ts.samples.tobytes() == import_raw(raw, meta).samples.tobytes()
+    assert ts.samples.shape == (3, 1)
+
+
 def test_import_raw_row_count_mismatch(tmp_path):
     # given or inferred, the trace length follows one rule with one message
     raw, meta = _write_raw(tmp_path, n=2, spt=3, rows=3)
